@@ -16,7 +16,7 @@ import numpy as np
 
 from . import energetics, steady
 from .dynamics import IntegratorConfig, MonotonicityError, simulate
-from .kernels import Exponents
+from .kernels import Exponents, lipschitz_bound
 from .measures import InverseCDF, MassQuadrature, ReferenceProfile, \
     sample_profile, uniform_state, wasserstein
 from .particles import ParticleSystem, discrete_energy, particle_rhs
@@ -64,6 +64,7 @@ class RunConfig:
                 safety=float(doc.get("safety", 0.5)),
                 record_every=int(doc.get("record_every", 1)),
             )
+            integrator.check_guard(lipschitz_bound(profile, exps.q_a))
             return cls(
                 profile=profile,
                 exps=exps,
@@ -76,7 +77,7 @@ class RunConfig:
             )
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
 
     def initial_state(self):
@@ -239,18 +240,25 @@ def cmd_oracle_check(config_path, seed=0, cases=10):
 
 def cmd_energy_audit(traj_dir):
     traj_dir = Path(traj_dir)
-    with open(traj_dir / "index.json") as fh:
-        index = json.load(fh)
-    with open(traj_dir / "config.json") as fh:
-        config_doc = json.load(fh)
-    inline = config_doc["profile_inline"]
-    profile = ReferenceProfile(
-        np.array(inline["breakpoints"]), np.array(inline["densities"])
-    )
-    exps = Exponents(float(config_doc["q_a"]), float(config_doc["q_r"]))
+    try:
+        with open(traj_dir / "index.json") as fh:
+            index = json.load(fh)
+        with open(traj_dir / "config.json") as fh:
+            config_doc = json.load(fh)
+        inline = config_doc["profile_inline"]
+        profile = ReferenceProfile(
+            np.array(inline["breakpoints"]), np.array(inline["densities"])
+        )
+        exps = Exponents(float(config_doc["q_a"]), float(config_doc["q_r"]))
+        snapshots = list(zip(index["times"], index["files"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        # corrupt or incomplete metadata is an i/o failure (exit 4)
+        raise OSError(
+            f"corrupt trajectory metadata in {traj_dir}: {exc!r}"
+        ) from exc
     reports = []
     quad = None
-    for t, name in zip(index["times"], index["files"]):
+    for t, name in snapshots:
         X = InverseCDF.from_csv(traj_dir / name)
         if quad is None:
             quad = MassQuadrature.midpoint(profile, X.n)
@@ -289,9 +297,6 @@ def build_parser():
 
     p_au = sub.add_parser("energy-audit", help="recompute the energy balance")
     p_au.add_argument("--out", required=True, help="trajectory directory")
-
-    for p in (p_sim, p_st, p_or, p_au):
-        p.add_argument("--threads", type=int, default=1, help="accepted, unused")
     return parser
 
 
@@ -310,7 +315,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MonotonicityError as exc:
+    except (MonotonicityError, OverflowError) as exc:
         print(f"integration aborted: {exc}", file=sys.stderr)
         return EXIT_MONOTONICITY
     except OSError as exc:

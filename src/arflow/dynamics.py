@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import AttractionPotential, psi_prime
+from .kernels import AttractionPotential, _row_blocks
 from .measures import InverseCDF, MassQuadrature, midpoint_grid
 
 __all__ = [
@@ -60,6 +60,23 @@ class IntegratorConfig:
             raise ValueError("safety must lie in (0, 1]")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(
+                f"t_end={self.t_end} is not an integer multiple of dt={self.dt}"
+            )
+
+    @property
+    def n_steps(self):
+        """Steps from t = 0 to t_end (exact, as t_end is a multiple of dt)."""
+        return round(self.t_end / self.dt)
+
+    def check_guard(self, lam):
+        """Raise ValueError unless dt * lam <= safety (the step-size guard)."""
+        if self.dt * lam > self.safety:
+            raise ValueError(
+                f"dt={self.dt} violates the step-size guard dt <= "
+                f"{self.safety / lam:.3e} (safety/lambda)"
+            )
 
 
 @dataclass
@@ -91,9 +108,29 @@ def repulsion_term(x, z, q_r):
 
 
 def repulsion_direct(x, q_r):
-    """Direct O(n^2) pairwise sum (reference path)."""
-    diff = x[:, None] - x[None, :]
-    return np.mean(psi_prime(q_r, diff), axis=1)
+    """(1/n) sum_j psi_r'(x_i - x_j), visiting each pair once.
+
+    RK4 stage states need not be monotone, so the sum runs on a stable sort
+    of x and is scattered back.  In sorted order a pair j > i has
+    d = x_j - x_i >= 0 and adds psi_r'(d) to node j and -psi_r'(d) to node i.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    n = xs.size
+    acc = np.zeros(n)
+    for rows in _row_blocks(n, n):
+        # clipping drops the pairs j <= i; sign keeps 0**0 out at q_r = 1
+        d = xs[rows.start:] - xs[rows, None]
+        np.maximum(d, 0.0, out=d)
+        if q_r == 1.0:
+            np.sign(d, out=d)
+        else:
+            np.power(d, q_r - 1.0, out=d)
+        acc[rows] -= d.sum(axis=1)
+        acc[rows.start:] += d.sum(axis=0)
+    out = np.empty(n)
+    out[order] = q_r * acc / n
+    return out
 
 
 def _rhs_values(x, z, pot, exps):
@@ -117,11 +154,7 @@ def _advance(x, z, dt, pot, exps, scheme):
 
 def step(state, cfg, pot, exps):
     """One accepted time step; aborts if the update breaks monotonicity."""
-    if cfg.dt * pot.lam > cfg.safety:
-        raise ValueError(
-            f"dt={cfg.dt} violates the step-size guard dt <= "
-            f"{cfg.safety / pot.lam:.3e} (safety/lambda)"
-        )
+    cfg.check_guard(pot.lam)
     x = state.X.x_values
     z = state.X.z_grid
     x_new = _advance(x, z, cfg.dt, pot, exps, cfg.scheme)
@@ -154,7 +187,7 @@ def simulate(X0, profile, exps, cfg, quad=None, callback=None):
     cert = 1.0
     if callback is not None:
         callback(state)
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.n_steps
     for k in range(1, n_steps + 1):
         state = step(state, cfg, pot, exps)
         if k % cfg.record_every == 0 or k == n_steps:

@@ -1,6 +1,7 @@
 """Energy, dissipation, the Fourier-side energy, and moment certificates.
 
-Energy and dissipation are midpoint double sums in mass coordinates.  The
+Energy and dissipation are midpoint double sums in mass coordinates, taken
+on the sorted state through the pair-sum helpers of ``kernels``.  The
 Fourier form evaluates the same quadratic energy through characteristic
 functions, and the moment certificates turn the a-priori bounds on energy
 sublevels into checkable per-snapshot inequalities.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import rhs
-from .kernels import AttractionPotential, psi
+from .kernels import AttractionPotential, _cross_sum, _pair_sum, _row_blocks
 from .measures import MassQuadrature, moment
 
 __all__ = [
@@ -85,11 +86,10 @@ def energy(X, profile, exps, quad=None):
     if quad is None:
         quad = MassQuadrature.midpoint(profile, X.n)
     x = X.x_values
+    w_mu = np.full(X.n, 1.0 / X.n)
     y = profile.quantile(quad.nodes)
-    n = X.n
-    attr = np.sum(quad.weights * psi(exps.q_a, x[:, None] - y), axis=1)
-    rep = np.sum(psi(exps.q_r, x[:, None] - x[None, :]))
-    return float(np.mean(attr) - rep / (2.0 * n * n))
+    attr = _cross_sum(x, w_mu, y, quad.weights, exps.q_a)
+    return attr - 0.5 * _pair_sum(x, w_mu, exps.q_r)
 
 
 def dissipation(X, profile, exps, quad=None):
@@ -158,8 +158,13 @@ def dq_constant(q, d=1):
 
 
 def _char_fn(points, weights, xi):
-    # weights.exp(-i xi x), evaluated for all xi at once
-    return np.exp(-1j * np.outer(xi, points)) @ weights
+    # weights.exp(-i xi x) = weights.cos(xi x) - i weights.sin(xi x), in
+    # xi-row blocks under the kernel memory cap
+    out = np.empty(xi.size, dtype=complex)
+    for rows in _row_blocks(xi.size, points.size):
+        phase = np.outer(xi[rows], points)
+        out[rows] = np.cos(phase) @ weights - 1j * (np.sin(phase) @ weights)
+    return out
 
 
 def tilde_energy(X, profile, q, quad=None):
@@ -170,13 +175,9 @@ def tilde_energy(X, profile, q, quad=None):
     w_mu = np.full(X.n, 1.0 / X.n)
     y = profile.quantile(quad.nodes)
     w_om = quad.weights
-
-    def pair(px, wx, py, wy):
-        return float(wx @ psi(q, px[:, None] - py[None, :]) @ wy)
-
-    s_mm = pair(x, w_mu, x, w_mu)
-    s_mo = pair(x, w_mu, y, w_om)
-    s_oo = pair(y, w_om, y, w_om)
+    s_mm = _pair_sum(x, w_mu, q)
+    s_mo = _cross_sum(x, w_mu, y, w_om, q)
+    s_oo = _pair_sum(y, w_om, q)
     return -0.5 * (s_mm - 2.0 * s_mo + s_oo)
 
 
@@ -226,8 +227,7 @@ def self_energy_constant(profile, q, quad=None):
     if quad is None:
         quad = MassQuadrature.midpoint(profile, 400)
     y = profile.quantile(quad.nodes)
-    w = quad.weights
-    return 0.5 * float(w @ psi(q, y[:, None] - y[None, :]) @ w)
+    return 0.5 * _pair_sum(y, quad.weights, q)
 
 
 # -- moment certificates -------------------------------------------------

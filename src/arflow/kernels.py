@@ -2,6 +2,11 @@
 
 The drift generated by the datum is U = psi_a' * omega, which is Lipschitz;
 its constant doubles as the step-size guard for the integrator.
+
+Pair sums over quantile samples use their order: at q = 1 and q = 2 they
+have O(n) closed forms, and otherwise each pair is visited once.  Every
+dense sum runs in row blocks of at most ``_BLOCK_ELEMS`` elements, so memory
+stays flat as n grows.
 """
 
 from __future__ import annotations
@@ -20,7 +25,64 @@ __all__ = [
     "psi_double_prime",
     "attraction_U",
     "lipschitz_lambda",
+    "lipschitz_bound",
 ]
+
+# Largest temporary, in array elements, that a blocked sum builds at once
+# (512 KB of float64).
+_BLOCK_ELEMS = 2**16
+
+
+def _row_blocks(rows, cols):
+    """Slices of range(rows) whose (rows, cols) blocks fit the memory cap."""
+    step = max(1, _BLOCK_ELEMS // max(cols, 1))
+    return (slice(a, min(a + step, rows)) for a in range(0, rows, step))
+
+
+def _pair_sum(x, w, q):
+    """sum_ij w_i w_j |x_i - x_j|^q for nondecreasing x."""
+    total = np.sum(w)
+    centred = x - (w @ x) / total
+    if q == 2.0:
+        return float(2.0 * total * (w @ (centred * centred)))
+    if q == 1.0:
+        # pair i < j adds w_i w_j (x_j - x_i): x_i collects the mass below
+        # it minus the mass above it
+        cum = np.cumsum(w)
+        return float(2.0 * ((w * centred) @ (2.0 * cum - w - cum[-1])))
+    out = 0.0
+    for rows in _row_blocks(x.size, x.size):
+        # x_j - x_i >= 0 exactly for the pairs j > i, so clipping keeps them
+        d = x[rows.start:] - x[rows, None]
+        np.maximum(d, 0.0, out=d)
+        np.power(d, q, out=d)
+        out += w[rows] @ d @ w[rows.start:]
+    return float(2.0 * out)
+
+
+def _cross_sum(x, v, y, w, q):
+    """sum_ij v_i w_j |x_i - y_j|^q for nondecreasing y and any x."""
+    total = np.sum(w)
+    y_bar = (w @ y) / total
+    x = x - y_bar
+    y = y - y_bar
+    if q == 2.0:
+        return float(total * (v @ (x * x)) + np.sum(v) * (w @ (y * y)))
+    if q == 1.0:
+        # sum_j w_j |x_i - y_j| = x_i (2 C_k - W) + S_K - 2 S_k with C, S the
+        # prefix sums of w and w y over the k nodes below x_i
+        cum_w = np.concatenate([[0.0], np.cumsum(w)])
+        cum_wy = np.concatenate([[0.0], np.cumsum(w * y)])
+        k = np.searchsorted(y, x)
+        per_x = x * (2.0 * cum_w[k] - cum_w[-1]) + cum_wy[-1] - 2.0 * cum_wy[k]
+        return float(v @ per_x)
+    out = 0.0
+    for rows in _row_blocks(x.size, y.size):
+        d = np.subtract.outer(x[rows], y)
+        np.abs(d, out=d)
+        np.power(d, q, out=d)
+        out += v[rows] @ d @ w
+    return float(out)
 
 
 @dataclass(frozen=True)
@@ -97,7 +159,7 @@ class AttractionPotential:
         y = np.asarray(self.profile.quantile(self.quad.nodes), dtype=float)
         y.setflags(write=False)
         object.__setattr__(self, "y_nodes", y)
-        object.__setattr__(self, "lam", _lipschitz_bound(self.profile, self.q_a))
+        object.__setattr__(self, "lam", lipschitz_bound(self.profile, self.q_a))
 
     @classmethod
     def build(cls, profile, q_a, quad=None, num_nodes=None):
@@ -109,8 +171,8 @@ class AttractionPotential:
         return attraction_U(self, x)
 
 
-def _lipschitz_bound(profile, q_a):
-    # Upper bounds for Lip(U); any valid bound works as a dt guard.
+def lipschitz_bound(profile, q_a):
+    """Upper bound for Lip(U); any valid bound works as a dt guard."""
     rho = profile.density_bound
     m = profile.mass
     if q_a == 1.0:
@@ -131,8 +193,15 @@ def attraction_U(pot, x):
         wy = np.dot(pot.quad.weights, pot.y_nodes)
         out = 2.0 * (pot.quad.total * x - wy)
     else:
-        diff = x[..., None] - pot.y_nodes
-        out = np.sum(pot.quad.weights * psi_prime(q_a, diff), axis=-1)
+        flat = x.ravel()
+        out = np.empty(flat.size)
+        y = pot.y_nodes
+        for rows in _row_blocks(flat.size, y.size):
+            d = np.subtract.outer(flat[rows], y)
+            mag = np.abs(d)
+            np.power(mag, q_a - 1.0, out=mag)
+            out[rows] = np.copysign(mag, d, out=mag) @ pot.quad.weights
+        out = q_a * out.reshape(x.shape)
     out = np.asarray(out)
     return out if out.ndim else float(out)
 

@@ -52,7 +52,9 @@ def invert_increasing(f, targets, lo, hi, tol=1e-12, max_expand=200):
     """Vectorized bisection solving f(x) = target for an increasing f.
 
     The bracket [lo, hi] is expanded geometrically until it straddles all
-    targets (valid since f has limits -inf/+inf).
+    targets (valid since f has limits -inf/+inf).  Bisection stops at width
+    ``tol`` or, where ``tol`` is below the float spacing of the roots, once
+    no midpoint lies strictly inside its bracket.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     width = max(hi - lo, 1.0)
@@ -68,6 +70,8 @@ def invert_increasing(f, targets, lo, hi, tol=1e-12, max_expand=200):
     hi_arr = np.full_like(targets, hi)
     while np.max(hi_arr - lo_arr) > tol:
         mid = 0.5 * (lo_arr + hi_arr)
+        if np.all((mid == lo_arr) | (mid == hi_arr)):
+            break
         below = np.asarray(f(mid)) < targets
         lo_arr = np.where(below, mid, lo_arr)
         hi_arr = np.where(below, hi_arr, mid)

@@ -98,6 +98,39 @@ class TestSimulate:
                         "--out", str(tmp_path / "run")])
         assert code == 3
 
+    def test_step_guard_exit_2_before_output(self, tmp_path, capsys):
+        # lambda = 2 m = 2 at q_a = 2, so dt = 0.5 breaks dt * lambda <= 0.5
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 32,
+            "dt": 0.5, "t_end": 1.0,
+        })
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        assert "step-size guard" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_t_end_not_multiple_exit_2(self, tmp_path):
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 32,
+            "dt": 0.15, "t_end": 1.0,
+        })
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "run")]) == 2
+
+    def test_overflow_exit_3(self, tmp_path, q2_m2_config, monkeypatch,
+                             capsys):
+        def boom(*args, **kwargs):
+            raise OverflowError("state overflowed at t=0.5")
+
+        monkeypatch.setattr(cli, "simulate", boom)
+        code = cli.main(["simulate", "--config", str(q2_m2_config),
+                        "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert "integration aborted" in capsys.readouterr().err
+
     def test_determinism(self, tmp_path, q2_m2_config):
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"
@@ -168,6 +201,24 @@ class TestEnergyAudit:
         assert cli.main(["energy-audit", "--out", str(out)]) == 0
         doc = json.loads((out / "balance.json").read_text())
         assert doc["defect"] <= 1e-6
+
+    @pytest.mark.parametrize("name,corrupt", [
+        ("index.json", lambda doc: "{not json"),
+        ("config.json", lambda doc: json.dumps(
+            {k: v for k, v in json.loads(doc).items() if k != "q_a"})),
+    ])
+    def test_corrupt_metadata_exit_4(self, tmp_path, name, corrupt):
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 32,
+            "dt": 0.01, "t_end": 0.02,
+        })
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        path = out / name
+        path.write_text(corrupt(path.read_text()))
+        assert cli.main(["energy-audit", "--out", str(out)]) == 4
 
     def test_missing_dir_exit_4(self, tmp_path):
         assert cli.main(["energy-audit", "--out",

@@ -16,7 +16,9 @@ from arflow import (
     uniform_state,
     wasserstein,
 )
+from arflow import kernels
 from arflow.dynamics import repulsion_direct, repulsion_term
+from arflow.kernels import psi_prime
 from arflow.steady import steady_qr1, steady_residual
 
 
@@ -41,6 +43,19 @@ class TestRepulsionTerm:
         assert np.array_equal(
             repulsion_term(x, z, 1.5), repulsion_direct(x, 1.5)
         )
+
+
+class TestRepulsionDirect:
+    @pytest.mark.parametrize("q_r", [1.0, 1.3, 2.0])
+    def test_matches_dense_on_unsorted_tied_input(self, rng, q_r):
+        # an RK4 stage state: sorted nodes jittered out of order, with ties
+        n = 1000
+        assert n % (kernels._BLOCK_ELEMS // n) != 0
+        x = np.sort(rng.uniform(-2.0, 2.0, n)) + rng.normal(0.0, 0.01, n)
+        x[[5, 6, 500]] = x[600]
+        assert np.any(np.diff(x) < 0)
+        dense = np.mean(psi_prime(q_r, x[:, None] - x[None, :]), axis=1)
+        assert np.max(np.abs(repulsion_direct(x, q_r) - dense)) <= 1e-12
 
 
 class TestRhs:
@@ -146,6 +161,14 @@ class TestIntegratorConfig:
             IntegratorConfig(dt=0.1, t_end=1.0, safety=1.5)
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.1, t_end=1.0, record_every=0)
+
+
+    def test_t_end_must_be_multiple_of_dt(self):
+        with pytest.raises(ValueError, match="multiple"):
+            IntegratorConfig(dt=0.15, t_end=1.0)
+        assert IntegratorConfig(dt=0.05, t_end=100.0).n_steps == 2000
+        assert IntegratorConfig(dt=0.01, t_end=0.01 * 30).n_steps == 30
+        assert IntegratorConfig(dt=0.1, t_end=0.0).n_steps == 0
 
 
 class TestSimulate:

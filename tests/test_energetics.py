@@ -226,3 +226,66 @@ class TestReportCsv:
         assert lines[0] == "t,E,D,E_hat,moment_qa,moment_r"
         assert len(lines) == 3
         assert "\r" not in path.read_text()
+
+
+class TestSortedPairSums:
+    """Closed forms (q = 1, 2) and blocked sums against dense double sums."""
+
+    @staticmethod
+    def uneven_quad(profile, rng, m_nodes):
+        nodes = np.sort(rng.uniform(0.0, profile.mass, m_nodes))
+        return MassQuadrature(nodes, rng.uniform(0.5, 1.5, m_nodes) / m_nodes)
+
+    @staticmethod
+    def tied_state(rng, n):
+        x = np.sort(rng.uniform(-2.0, 4.0, n))
+        x[10:13] = x[10]
+        return InverseCDF(x)
+
+    @pytest.mark.parametrize("q_a,q_r", [(1.0, 1.0), (2.0, 1.0), (2.0, 2.0),
+                                         (1.5, 1.0), (2.0, 1.5), (1.7, 1.3)])
+    def test_energy_matches_dense(self, gap_profile, rng, q_a, q_r):
+        X = self.tied_state(rng, 97)
+        x = X.x_values
+        quad = self.uneven_quad(gap_profile, rng, 61)
+        y = gap_profile.quantile(quad.nodes)
+        dense = (np.mean(np.sum(quad.weights * psi(q_a, x[:, None] - y), axis=1))
+                 - np.sum(psi(q_r, x[:, None] - x)) / (2.0 * X.n**2))
+        e = energy(X, gap_profile, Exponents(q_a, q_r), quad)
+        assert abs(e - dense) <= 1e-12 * max(1.0, abs(dense))
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    def test_tilde_and_self_energy_match_dense(self, gap_profile, rng, q):
+        X = self.tied_state(rng, 83)
+        x = X.x_values
+        quad = self.uneven_quad(gap_profile, rng, 70)
+        y = gap_profile.quantile(quad.nodes)
+        w_mu = np.full(X.n, 1.0 / X.n)
+        w_om = quad.weights
+
+        def dense(px, wx, py, wy):
+            return wx @ psi(q, px[:, None] - py) @ wy
+
+        s_oo = dense(y, w_om, y, w_om)
+        expected = -0.5 * (dense(x, w_mu, x, w_mu)
+                           - 2.0 * dense(x, w_mu, y, w_om) + s_oo)
+        got = tilde_energy(X, gap_profile, q, quad)
+        assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+        c = self_energy_constant(gap_profile, q, quad)
+        assert abs(c - 0.5 * s_oo) <= 1e-12 * max(1.0, abs(s_oo))
+
+    def test_closed_forms_far_from_origin(self):
+        # the closed forms centre the samples, so a large common offset
+        # costs no more digits than the dense differences do
+        n = 64
+        prof = ReferenceProfile([1e6, 1e6 + 1.0], [1.0])
+        X = uniform_state(1e6 - 1.0, 1e6 + 0.5, n)
+        quad = MassQuadrature.midpoint(prof, n)
+        x = X.x_values
+        y = prof.quantile(quad.nodes)
+        for q_a, q_r in ((1.0, 1.0), (2.0, 2.0), (2.0, 1.0)):
+            dense = (np.mean(np.sum(quad.weights * psi(q_a, x[:, None] - y),
+                                    axis=1))
+                     - np.sum(psi(q_r, x[:, None] - x)) / (2.0 * n * n))
+            e = energy(X, prof, Exponents(q_a, q_r), quad)
+            assert abs(e - dense) <= 1e-9

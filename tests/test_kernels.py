@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,14 @@ from arflow import (
     Exponents,
     MassQuadrature,
     attraction_U,
+    energy,
     lipschitz_lambda,
     psi,
     psi_double_prime,
     psi_prime,
+    uniform_state,
 )
+from arflow.dynamics import repulsion_direct
 
 
 class TestExponents:
@@ -131,3 +136,26 @@ class TestLipschitzLambda:
     def test_intermediate(self, uniform_profile):
         pot = AttractionPotential.build(uniform_profile, 1.5)
         assert lipschitz_lambda(pot) == pytest.approx(3.75, abs=1e-14)
+
+
+class TestMemoryCap:
+    def test_blocked_sums_stay_small(self, uniform_profile):
+        # one dense n x n float64 temporary would take 800 MB at n = 10**4
+        n = 10**4
+        X = uniform_state(-1.0, 2.0, n)
+        quad = MassQuadrature.midpoint(uniform_profile, n)
+        pot = AttractionPotential(uniform_profile, 1.5, quad)
+        calls = {
+            "energy": lambda: energy(X, uniform_profile, Exponents(1.5, 1.3),
+                                     quad),
+            "repulsion_direct": lambda: repulsion_direct(X.x_values, 1.3),
+            "attraction_U": lambda: attraction_U(pot, X.x_values),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20, (name, peak)

@@ -28,7 +28,40 @@ class TestInvertIncreasing:
         assert root[0] == pytest.approx(-100.0, abs=1e-10)
 
 
+    def test_roots_beyond_float_spacing_of_tol(self):
+        # near 1e6 adjacent floats are 1.2e-10 apart, far above tol = 1e-12
+        f = lambda x: x - 1e6
+        roots = invert_increasing(f, [-0.5, 0.0, 0.25], 0.0, 1.0)
+        assert np.allclose(roots, 1e6 + np.array([-0.5, 0.0, 0.25]),
+                           rtol=0.0, atol=1e-9)
+
+    def test_terminating_input_keeps_iterates(self):
+        # the plain width-only loop, for inputs on which it terminates
+        def plain(f, targets, lo, hi, tol=1e-12):
+            lo_arr = np.full_like(targets, lo)
+            hi_arr = np.full_like(targets, hi)
+            while np.max(hi_arr - lo_arr) > tol:
+                mid = 0.5 * (lo_arr + hi_arr)
+                below = f(mid) < targets
+                lo_arr = np.where(below, mid, lo_arr)
+                hi_arr = np.where(below, hi_arr, mid)
+            return 0.5 * (lo_arr + hi_arr)
+
+        f = lambda x: x**3 + x
+        targets = np.linspace(-2.0, 2.0, 9)
+        assert np.array_equal(invert_increasing(f, targets, -2.0, 2.0),
+                              plain(f, targets, -2.0, 2.0))
+
+
 class TestSteadyQr1:
+    def test_far_datum_terminates(self):
+        prof = ReferenceProfile([1e6, 1e6 + 1.0], [1.0])
+        ss = steady_qr1(prof, 1.5, 64)
+        x = ss.Xstar.x_values
+        assert np.all(np.diff(x) > 0)
+        assert ss.x_lo < ss.x_zero < ss.x_hi
+        assert abs(ss.x_zero - (1e6 + 0.5)) <= 1e-6
+
     def test_q2_uniform_recovers_datum(self, uniform_profile):
         n = 400
         ss = steady_qr1(uniform_profile, 2.0, n)
