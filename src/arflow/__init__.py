@@ -19,8 +19,8 @@ from .energetics import (
     fourier_energy,
     moment_certificate,
 )
-from .kernels import AttractionPotential, Exponents, attraction_U, \
-    lipschitz_lambda, psi, psi_double_prime, psi_prime
+from .kernels import AttractionPotential, Exponents, attraction_U, psi, \
+    psi_double_prime, psi_prime
 from .measures import (
     InverseCDF,
     MassQuadrature,

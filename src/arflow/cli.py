@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import energetics, steady
-from .dynamics import IntegratorConfig, MonotonicityError, simulate
-from .kernels import Exponents, lipschitz_bound
+from .dynamics import IntegratorConfig, MonotonicityError, rhs, simulate
+from .kernels import AttractionPotential, Exponents, lipschitz_bound
 from .measures import InverseCDF, MassQuadrature, ReferenceProfile, \
     sample_profile, uniform_state, wasserstein
 from .particles import ParticleSystem, discrete_energy, particle_rhs
@@ -120,16 +120,15 @@ def cmd_simulate(config_path, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     X0 = cfg.initial_state()
-    quad = MassQuadrature.midpoint(cfg.profile, cfg.n)
 
     reports = []
 
     def record(state):
         reports.append(
-            energetics.make_report(state.t, state.X, cfg.profile, cfg.exps, quad)
+            energetics.make_report(state.t, state.X, cfg.profile, cfg.exps)
         )
 
-    traj = simulate(X0, cfg.profile, cfg.exps, cfg.integrator, quad, callback=record)
+    traj = simulate(X0, cfg.profile, cfg.exps, cfg.integrator, callback=record)
 
     files = []
     for i, state in enumerate(traj.states):
@@ -172,7 +171,7 @@ def cmd_simulate(config_path, out_dir):
         else None,
     }
     if cfg.exps.q_r == 1.0:
-        ss = steady.steady_qr1(cfg.profile, cfg.exps.q_a, cfg.n, quad)
+        ss = steady.steady_qr1(cfg.profile, cfg.exps.q_a, cfg.n)
         if ss.kind != "none_exists":
             w2 = [wasserstein(s.X, ss.Xstar, 2.0) for s in traj.states]
             rate_w2, r2_w2 = fit_exponential_rate(times, np.array(w2), t_lo, t_hi)
@@ -215,15 +214,12 @@ def cmd_oracle_check(config_path, seed=0, cases=10):
     worst_energy = 0.0
     for q_a, q_r in ORACLE_PAIRS:
         exps = Exponents(q_a, q_r)
+        pot = AttractionPotential(cfg.profile, q_a, quad)
         for _ in range(cases):
             x = np.sort(rng.uniform(-2.0, 3.0, cfg.n))
             X = InverseCDF(x)
             sys_ = ParticleSystem(x)
-            from .dynamics import rhs as dyn_rhs
-            from .kernels import AttractionPotential
-
-            pot = AttractionPotential(cfg.profile, q_a, quad)
-            dv = np.max(np.abs(dyn_rhs(X, pot, exps) -
+            dv = np.max(np.abs(rhs(X, pot, exps) -
                                particle_rhs(sys_, cfg.profile, exps, quad)))
             de = abs(
                 energetics.energy(X, cfg.profile, exps, quad)
@@ -256,13 +252,17 @@ def cmd_energy_audit(traj_dir):
         raise OSError(
             f"corrupt trajectory metadata in {traj_dir}: {exc!r}"
         ) from exc
-    reports = []
-    quad = None
-    for t, name in snapshots:
-        X = InverseCDF.from_csv(traj_dir / name)
-        if quad is None:
-            quad = MassQuadrature.midpoint(profile, X.n)
-        reports.append(energetics.make_report(t, X, profile, exps, quad))
+    if len(snapshots) < 2:
+        # the balance compares two snapshots; a t_end = 0 run has one
+        raise OSError(
+            f"trajectory in {traj_dir} has {len(snapshots)} snapshot(s); "
+            f"the energy balance needs at least two"
+        )
+    reports = [
+        energetics.make_report(t, InverseCDF.from_csv(traj_dir / name),
+                               profile, exps)
+        for t, name in snapshots
+    ]
     defect = energetics.energy_balance(reports)
     doc = {
         "defect": defect,

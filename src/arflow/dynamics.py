@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import AttractionPotential, _row_blocks
-from .measures import InverseCDF, MassQuadrature, midpoint_grid
+from .measures import InverseCDF, midpoint_grid
 
 __all__ = [
     "FlowState",
@@ -174,12 +174,11 @@ def simulate(X0, profile, exps, cfg, quad=None, callback=None):
 
     Also tracks the slope-condition certificate: the running minimum over
     snapshots of min_slope(t) e^{+lambda t} relative to the initial slope.
-    ``callback(state)`` is invoked on every recorded state.
+    ``callback(state)`` is invoked on every recorded state.  The drift is
+    exact unless a ``quad`` is passed.
     """
     if X0.min_slope() <= 0:
         raise ValueError("initial state must have strictly positive min slope")
-    if quad is None:
-        quad = MassQuadrature.midpoint(profile, X0.n)
     pot = AttractionPotential(profile, exps.q_a, quad)
     state = FlowState.initial(X0)
     alpha = state.min_slope

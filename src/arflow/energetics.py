@@ -1,6 +1,9 @@
 """Energy, dissipation, the Fourier-side energy, and moment certificates.
 
-Energy and dissipation are midpoint double sums in mass coordinates, taken
+Energy and dissipation take the datum exactly: the attraction term is the
+mean of psi_a * omega over the state's nodes, and the drift is exact, unless
+a caller passes a ``MassQuadrature``.  The repulsion term, and the datum
+terms on a quadrature, are midpoint double sums in mass coordinates, taken
 on the sorted state through the pair-sum helpers of ``kernels``.  The
 Fourier form evaluates the same quadratic energy through characteristic
 functions, and the moment certificates turn the a-priori bounds on energy
@@ -16,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import rhs
-from .kernels import AttractionPotential, _cross_sum, _pair_sum, _row_blocks
+from .kernels import AttractionPotential, _cross_sum, _exact_conv, _pair_sum, \
+    _row_blocks
 from .measures import MassQuadrature, moment
 
 __all__ = [
@@ -81,14 +85,20 @@ class CertificateResult:
     r: float
 
 
+def _moment_order(q):
+    """Order r = q/2 - 0.1 of the balanced-regime moment certificate."""
+    return q / 2.0 - 0.1
+
+
 def energy(X, profile, exps, quad=None):
-    """Interaction energy by mass-variable double sums."""
-    if quad is None:
-        quad = MassQuadrature.midpoint(profile, X.n)
+    """Interaction energy; the datum term is exact unless ``quad`` is given."""
     x = X.x_values
     w_mu = np.full(X.n, 1.0 / X.n)
-    y = profile.quantile(quad.nodes)
-    attr = _cross_sum(x, w_mu, y, quad.weights, exps.q_a)
+    if quad is None:
+        attr = float(np.mean(_exact_conv(profile, exps.q_a, x)))
+    else:
+        y = profile.quantile(quad.nodes)
+        attr = _cross_sum(x, w_mu, y, quad.weights, exps.q_a)
     return attr - 0.5 * _pair_sum(x, w_mu, exps.q_r)
 
 
@@ -96,10 +106,9 @@ def dissipation(X, profile, exps, quad=None):
     """D = (1/n) sum V_i^2 with V the evolution velocity.
 
     For q_r = 1 this evaluates the same formula through the rank substitution
-    and is a formal extension of the q_r > 1 dissipation identity.
+    and is a formal extension of the q_r > 1 dissipation identity.  The drift
+    is exact unless ``quad`` is given.
     """
-    if quad is None:
-        quad = MassQuadrature.midpoint(profile, X.n)
     pot = AttractionPotential(profile, exps.q_a, quad)
     v = rhs(X, pot, exps)
     return float(np.mean(v * v))
@@ -116,19 +125,16 @@ def energy_balance(reports):
 
 
 def make_report(t, X, profile, exps, quad=None, with_fourier=False, xi_grid=None):
-    if quad is None:
-        quad = MassQuadrature.midpoint(profile, X.n)
     e_hat = None
     if with_fourier:
         e_hat = fourier_energy(X, profile, exps.q_a, xi_grid, quad=quad).value
-    r = exps.q_a / 2.0 - 0.1
     return EnergyReport(
         t=float(t),
         E=energy(X, profile, exps, quad),
         D=dissipation(X, profile, exps, quad),
         E_hat=e_hat,
         moment_qa=moment(X, exps.q_a),
-        moment_r=moment(X, r),
+        moment_r=moment(X, _moment_order(exps.q_a)),
     )
 
 
@@ -254,7 +260,7 @@ def moment_certificate(reports, exps, profile, xi_grid=None, quad=None):
                                  "attraction_dominated", exps.q_a)
 
     q = exps.q_a
-    r = q / 2.0 - 0.1
+    r = _moment_order(q)
     if abs(profile.mass - 1.0) > 1e-12:
         raise ValueError("balanced certificate requires a unit-mass datum")
     if xi_grid is None:

@@ -1,7 +1,10 @@
 """Power kernels |x|^q, their derivatives, and the attraction potential.
 
 The drift generated by the datum is U = psi_a' * omega, which is Lipschitz;
-its constant doubles as the step-size guard for the integrator.
+its constant doubles as the step-size guard for the integrator.  The datum
+is piecewise constant, so U and psi_a * omega are exact sums over its K + 1
+breakpoints; a ``MassQuadrature`` replaces them only where a caller passes
+one, as the particle oracle's reference.
 
 Pair sums over quantile samples use their order: at q = 1 and q = 2 they
 have O(n) closed forms, and otherwise each pair is visited once.  Every
@@ -24,7 +27,6 @@ __all__ = [
     "psi_prime",
     "psi_double_prime",
     "attraction_U",
-    "lipschitz_lambda",
     "lipschitz_bound",
 ]
 
@@ -85,6 +87,49 @@ def _cross_sum(x, v, y, w, q):
     return float(out)
 
 
+def _exact_sum(profile, x, kernel):
+    """sum_k rho_k (kernel(x - b_k) - kernel(x - b_{k+1})) per x.
+
+    Summed by breakpoint: b_j carries the density jump rho_j - rho_{j-1}.
+    """
+    b = profile.breakpoints
+    jumps = np.diff(np.concatenate([[0.0], profile.densities, [0.0]]))
+    flat = np.ravel(x)
+    out = np.empty(flat.size)
+    for rows in _row_blocks(flat.size, b.size):
+        out[rows] = kernel(np.subtract.outer(flat[rows], b)) @ jumps
+    return out.reshape(np.shape(x))
+
+
+def _exact_U(profile, q, x):
+    """psi_q' * omega at x, exactly: sum_k rho_k (|x-b_k|^q - |x-b_{k+1}|^q)."""
+    if q == 2.0:
+        return 2.0 * profile.mass * (x - profile.com())
+
+    def kernel(d):
+        np.abs(d, out=d)
+        return np.power(d, q, out=d)
+
+    return _exact_sum(profile, x, kernel)
+
+
+def _exact_conv(profile, q, x):
+    """psi_q * omega at x, exactly, with primitive sgn(u)|u|^{q+1}/(q+1)."""
+    if q == 2.0:
+        # m (x - com)^2 plus the centred second moment of omega, by pieces
+        com = profile.com()
+        b = profile.breakpoints - com
+        spread = profile.densities @ (b[1:] ** 3 - b[:-1] ** 3) / 3.0
+        return profile.mass * (x - com) ** 2 + spread
+
+    def kernel(d):
+        mag = np.abs(d)
+        np.power(mag, q + 1.0, out=mag)
+        return np.copysign(mag, d, out=mag) / (q + 1.0)
+
+    return _exact_sum(profile, x, kernel)
+
+
 @dataclass(frozen=True)
 class Exponents:
     """Kernel exponent pair, restricted to 1 <= q_r <= q_a <= 2."""
@@ -143,28 +188,36 @@ def psi_double_prime(q, x):
 
 @dataclass(frozen=True)
 class AttractionPotential:
-    """Precomputed drift U = psi_a' * omega with its Lipschitz constant.
+    """Drift U = psi_a' * omega with its Lipschitz constant.
 
-    For q_a = 1 the exact CDF form U = 2G - m is used instead of quadrature.
+    Without ``quad`` U is exact for the piecewise-constant datum, and
+    ``y_nodes`` holds the datum's breakpoints.  With ``quad`` U is the
+    quadrature over the nodes ``y_nodes = Y(quad.nodes)``, the particle
+    oracle's reference.  For q_a = 1 both use the exact CDF form U = 2G - m.
     """
 
     profile: object
     q_a: float
-    quad: MassQuadrature
+    quad: MassQuadrature | None = None
     y_nodes: np.ndarray = field(init=False)
     lam: float = field(init=False)
 
     def __post_init__(self):
         _check_q(self.q_a)
-        y = np.asarray(self.profile.quantile(self.quad.nodes), dtype=float)
-        y.setflags(write=False)
+        if self.quad is None:
+            y = self.profile.breakpoints
+        else:
+            y = np.asarray(self.profile.quantile(self.quad.nodes), dtype=float)
+            y.setflags(write=False)
         object.__setattr__(self, "y_nodes", y)
         object.__setattr__(self, "lam", lipschitz_bound(self.profile, self.q_a))
 
     @classmethod
     def build(cls, profile, q_a, quad=None, num_nodes=None):
-        if quad is None:
-            quad = MassQuadrature.midpoint(profile, num_nodes or 400)
+        """The potential on ``quad``, or the exact one without it.
+
+        ``num_nodes`` has no effect: the exact potential needs no nodes.
+        """
         return cls(profile, q_a, quad)
 
     def __call__(self, x):
@@ -188,6 +241,8 @@ def attraction_U(pot, x):
     q_a = pot.q_a
     if q_a == 1.0:
         out = 2.0 * np.asarray(pot.profile.cdf(x)) - pot.profile.mass
+    elif pot.quad is None:
+        out = _exact_U(pot.profile, q_a, x)
     elif q_a == 2.0:
         # quadrature of 2(x - y) collapses to an affine function
         wy = np.dot(pot.quad.weights, pot.y_nodes)
@@ -204,7 +259,3 @@ def attraction_U(pot, x):
         out = q_a * out.reshape(x.shape)
     out = np.asarray(out)
     return out if out.ndim else float(out)
-
-
-def lipschitz_lambda(pot):
-    return pot.lam

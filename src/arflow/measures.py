@@ -161,8 +161,10 @@ class ReferenceProfile:
     def com(self):
         """Center of mass, (1/m) * integral of x * density."""
         b = self.breakpoints
-        first_moment = np.sum(self.densities * (b[1:] ** 2 - b[:-1] ** 2) / 2.0)
-        return float(first_moment / self.mass)
+        # (b_{k+1}^2 - b_k^2)/2 as width times midpoint, which loses no
+        # digits far from the origin
+        first_moment = np.sum(self.densities * np.diff(b) * (b[1:] + b[:-1]))
+        return float(first_moment / (2.0 * self.mass))
 
     def abs_moment(self, r):
         """Exact integral of |x|^r against the density (not normalized)."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import rhs
 from .kernels import AttractionPotential, Exponents
-from .measures import InverseCDF, MassQuadrature, midpoint_grid
+from .measures import InverseCDF, midpoint_grid
 
 __all__ = [
     "SteadyState",
@@ -97,8 +97,6 @@ def steady_qr1(profile, q_a, n, quad=None):
         x_zero = profile.quantile(m / 2.0)
         return SteadyState(InverseCDF(xstar), float(x_lo), float(x_hi),
                            float(x_zero), "qa_eq_1_shift")
-    if quad is None:
-        quad = MassQuadrature.midpoint(profile, n)
     pot = AttractionPotential(profile, q_a, quad)
     lo, hi = profile.support
     x_lo, x_zero, x_hi = invert_increasing(pot, [-1.0, 0.0, 1.0], lo, hi)
@@ -125,7 +123,5 @@ def shifted_profile_mlt1(profile, n):
 
 def steady_residual(X, profile, exps, quad=None):
     """Sup-norm stationarity defect ||rhs(X)||_inf."""
-    if quad is None:
-        quad = MassQuadrature.midpoint(profile, X.n)
     pot = AttractionPotential(profile, exps.q_a, quad)
     return float(np.max(np.abs(rhs(X, pot, exps))))

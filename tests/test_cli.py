@@ -220,6 +220,20 @@ class TestEnergyAudit:
         path.write_text(corrupt(path.read_text()))
         assert cli.main(["energy-audit", "--out", str(out)]) == 4
 
+    def test_single_snapshot_exit_4(self, tmp_path, capsys):
+        # t_end = 0 records only the initial state; the balance needs two
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 32,
+            "dt": 0.01, "t_end": 0.0,
+        })
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        assert cli.main(["energy-audit", "--out", str(out)]) == 4
+        assert "at least two" in capsys.readouterr().err
+        assert not (out / "balance.json").exists()
+
     def test_missing_dir_exit_4(self, tmp_path):
         assert cli.main(["energy-audit", "--out",
                         str(tmp_path / "missing")]) == 4

@@ -48,11 +48,17 @@ class TestEnergy:
         n = 32
         X = InverseCDF(np.full(n, 2.0))
         exps = Exponents(2.0, 2.0)
-        e = energy(X, uniform_profile, exps)
         quad = MassQuadrature.midpoint(uniform_profile, n)
+        e = energy(X, uniform_profile, exps, quad)
         y = uniform_profile.quantile(quad.nodes)
         attr = float(np.sum(quad.weights * psi(2.0, 2.0 - y)))
         assert e == pytest.approx(attr, abs=1e-12)
+
+    def test_coincident_particles_exact_attraction(self, uniform_profile):
+        # the exact datum term: integral of (2 - y)^2 over [0, 1] is 7/3
+        X = InverseCDF(np.full(32, 2.0))
+        e = energy(X, uniform_profile, Exponents(2.0, 2.0))
+        assert e == pytest.approx(7.0 / 3.0, abs=1e-12)
 
     def test_translation_invariance(self):
         n = 64

@@ -6,10 +6,11 @@ import pytest
 from arflow import (
     AttractionPotential,
     Exponents,
+    InverseCDF,
     MassQuadrature,
+    ReferenceProfile,
     attraction_U,
     energy,
-    lipschitz_lambda,
     psi,
     psi_double_prime,
     psi_prime,
@@ -113,7 +114,7 @@ class TestAttractionU:
     def test_lipschitz_finite_difference(self, uniform_profile, rng):
         for q_a in (1.0, 1.5, 2.0):
             pot = AttractionPotential.build(uniform_profile, q_a, num_nodes=400)
-            lam = lipschitz_lambda(pot)
+            lam = pot.lam
             a = rng.uniform(-2.0, 3.0, 200)
             b = rng.uniform(-2.0, 3.0, 200)
             du = np.abs(attraction_U(pot, a) - attraction_U(pot, b))
@@ -127,15 +128,83 @@ class TestAttractionU:
 class TestLipschitzLambda:
     def test_q1(self, uniform_profile):
         pot = AttractionPotential.build(uniform_profile, 1.0)
-        assert lipschitz_lambda(pot) == 2.0
+        assert pot.lam == 2.0
 
     def test_q2(self, uniform_profile):
         pot = AttractionPotential.build(uniform_profile, 2.0)
-        assert lipschitz_lambda(pot) == 2.0
+        assert pot.lam == 2.0
 
     def test_intermediate(self, uniform_profile):
         pot = AttractionPotential.build(uniform_profile, 1.5)
-        assert lipschitz_lambda(pot) == pytest.approx(3.75, abs=1e-14)
+        assert pot.lam == pytest.approx(3.75, abs=1e-14)
+
+
+class TestExactDatumIntegrals:
+    """The default exact drift and energy against the mass quadrature."""
+
+    # the gap sits at a third of the mass, so for every M = 100 * 2^k it
+    # falls a third of the way into a midpoint cell: the quadrature is
+    # first order there, with a constant that does not change as M doubles
+    GAP = ReferenceProfile([0.0, 1.0, 2.0, 4.0], [1.0, 0.0, 1.0])
+    SIZES = (100, 200, 400, 800, 1600)
+
+    @staticmethod
+    def orders(errs):
+        return np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+
+    @pytest.mark.parametrize("q_a", [1.2, 1.5, 1.8, 2.0])
+    def test_drift_order_against_quadrature(self, q_a):
+        # nodes left and right of the support and inside the gap, where the
+        # integrand is smooth on every piece
+        x = np.array([-3.0, -1.5, 1.25, 1.5, 1.75, 5.0, 6.5])
+        exact = attraction_U(AttractionPotential(self.GAP, q_a), x)
+        errs = [
+            np.max(np.abs(attraction_U(AttractionPotential(
+                self.GAP, q_a, MassQuadrature.midpoint(self.GAP, m)), x)
+                - exact))
+            for m in self.SIZES
+        ]
+        assert np.all(self.orders(errs) >= 0.9), (errs, self.orders(errs))
+
+    @pytest.mark.parametrize("q_a", [1.2, 1.5, 1.8, 2.0])
+    def test_energy_order_against_quadrature(self, q_a):
+        X = InverseCDF(np.concatenate([np.linspace(-2.0, -0.5, 32),
+                                       np.linspace(1.1, 1.4, 32)]))
+        exps = Exponents(q_a, 1.1)
+        exact = energy(X, self.GAP, exps)
+        errs = [
+            abs(energy(X, self.GAP, exps,
+                       MassQuadrature.midpoint(self.GAP, m)) - exact)
+            for m in self.SIZES
+        ]
+        assert np.all(self.orders(errs) >= 0.9), (errs, self.orders(errs))
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3])
+    @pytest.mark.parametrize("q_a", [1.0, 1.5, 2.0])
+    def test_far_datum(self, q_a, offset):
+        # the same datum and state near the origin, shifted by exactly 1e6
+        far = ReferenceProfile(1e6 + np.array([offset, offset + 1.0]), [1.0])
+        near = ReferenceProfile(far.breakpoints - 1e6, [1.0])
+        X_far = uniform_state(1e6 - 1.0, 1e6 + 2.0, 61)
+        X_near = InverseCDF(X_far.x_values - 1e6)
+        exps = Exponents(q_a, 1.0)
+        u_far = attraction_U(AttractionPotential(far, q_a), X_far.x_values)
+        u_near = attraction_U(AttractionPotential(near, q_a), X_near.x_values)
+        assert np.max(np.abs(u_far - u_near)) <= 1e-12
+        assert abs(energy(X_far, far, exps)
+                   - energy(X_near, near, exps)) <= 1e-9
+        quad = MassQuadrature.midpoint(far, 4000)
+        u_quad = attraction_U(AttractionPotential(far, q_a, quad),
+                              X_far.x_values)
+        assert np.max(np.abs(u_far - u_quad)) <= 1e-5
+        assert abs(energy(X_far, far, exps)
+                   - energy(X_far, far, exps, quad)) <= 1e-5
+
+    def test_exact_potential_nodes_are_breakpoints(self):
+        pot = AttractionPotential.build(self.GAP, 1.5, num_nodes=50)
+        assert pot.quad is None
+        assert np.array_equal(pot.y_nodes, self.GAP.breakpoints)
+        assert not pot.y_nodes.flags.writeable
 
 
 class TestMemoryCap:
@@ -149,6 +218,26 @@ class TestMemoryCap:
             "energy": lambda: energy(X, uniform_profile, Exponents(1.5, 1.3),
                                      quad),
             "repulsion_direct": lambda: repulsion_direct(X.x_values, 1.3),
+            "attraction_U": lambda: attraction_U(pot, X.x_values),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20, (name, peak)
+
+    def test_exact_datum_sums_stay_small(self, rng):
+        # one unblocked n x (K + 1) float64 array would take 160 MB here
+        n, k = 10**4, 2000
+        prof = ReferenceProfile(np.linspace(0.0, 1.0, k + 1),
+                                rng.uniform(0.5, 1.5, k))
+        X = uniform_state(-1.0, 2.0, n)
+        pot = AttractionPotential(prof, 1.5)
+        calls = {
+            "energy": lambda: energy(X, prof, Exponents(1.5, 1.0)),
             "attraction_U": lambda: attraction_U(pot, X.x_values),
         }
         for name, call in calls.items():
