@@ -7,12 +7,12 @@ form for q_a = q_r = 2 serves as an integrator oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import AttractionPotential, _row_blocks
-from .measures import InverseCDF, midpoint_grid
+from .kernels import AttractionPotential, _scratch_blocks
+from .measures import InverseCDF
 
 __all__ = [
     "FlowState",
@@ -118,9 +118,9 @@ def repulsion_direct(x, q_r):
     xs = x[order]
     n = xs.size
     acc = np.zeros(n)
-    for rows in _row_blocks(n, n):
+    for rows, d in _scratch_blocks(n, n, upper=True):
         # clipping drops the pairs j <= i; sign keeps 0**0 out at q_r = 1
-        d = xs[rows.start:] - xs[rows, None]
+        np.subtract(xs[rows.start:], xs[rows, None], out=d)
         np.maximum(d, 0.0, out=d)
         if q_r == 1.0:
             np.sign(d, out=d)

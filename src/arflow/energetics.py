@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import rhs
 from .kernels import AttractionPotential, _cross_sum, _exact_conv, _pair_sum, \
-    _row_blocks
+    _scratch_blocks
 from .measures import MassQuadrature, moment
 
 __all__ = [
@@ -167,9 +167,11 @@ def _char_fn(points, weights, xi):
     # weights.exp(-i xi x) = weights.cos(xi x) - i weights.sin(xi x), in
     # xi-row blocks under the kernel memory cap
     out = np.empty(xi.size, dtype=complex)
-    for rows in _row_blocks(xi.size, points.size):
-        phase = np.outer(xi[rows], points)
-        out[rows] = np.cos(phase) @ weights - 1j * (np.sin(phase) @ weights)
+    for rows, phase, cos in _scratch_blocks(xi.size, points.size, temps=2):
+        np.multiply(xi[rows, None], points, out=phase)
+        np.cos(phase, out=cos)
+        np.sin(phase, out=phase)
+        out[rows] = cos @ weights - 1j * (phase @ weights)
     return out
 
 

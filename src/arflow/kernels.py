@@ -8,8 +8,9 @@ one, as the particle oracle's reference.
 
 Pair sums over quantile samples use their order: at q = 1 and q = 2 they
 have O(n) closed forms, and otherwise each pair is visited once.  Every
-dense sum runs in row blocks of at most ``_BLOCK_ELEMS`` elements, so memory
-stays flat as n grows.
+dense sum runs in row blocks of at most ``_BLOCK_ELEMS`` elements, built with
+``out=`` ufunc chains in one scratch buffer per call (``_scratch_blocks``), so
+memory stays flat as n grows and no block faults in fresh pages.
 """
 
 from __future__ import annotations
@@ -35,10 +36,26 @@ __all__ = [
 _BLOCK_ELEMS = 2**16
 
 
-def _row_blocks(rows, cols):
-    """Slices of range(rows) whose (rows, cols) blocks fit the memory cap."""
+def _scratch_blocks(rows, cols, upper=False, temps=1):
+    """Row blocks of range(rows) under the memory cap, with scratch views.
+
+    Yields ``(block, view_1, ..., view_temps)``.  Each view is a
+    C-contiguous (len(block), cols) window of one buffer allocated for this
+    call, or (len(block), cols - block.start) with ``upper``: the columns
+    j >= block.start of a sum over pairs i < j.  The first block is the
+    largest, so the buffer never grows, and blocks built in the views with
+    ``out=`` fault in no fresh pages.
+    """
     step = max(1, _BLOCK_ELEMS // max(cols, 1))
-    return (slice(a, min(a + step, rows)) for a in range(0, rows, step))
+    buf = None
+    for start in range(0, rows, step):
+        block = slice(start, min(start + step, rows))
+        shape = (block.stop - start, cols - start if upper else cols)
+        size = shape[0] * shape[1]
+        if buf is None:
+            buf = np.empty(temps * size)
+        yield (block, *(buf[k * size:(k + 1) * size].reshape(shape)
+                        for k in range(temps)))
 
 
 def _pair_sum(x, w, q):
@@ -53,9 +70,9 @@ def _pair_sum(x, w, q):
         cum = np.cumsum(w)
         return float(2.0 * ((w * centred) @ (2.0 * cum - w - cum[-1])))
     out = 0.0
-    for rows in _row_blocks(x.size, x.size):
+    for rows, d in _scratch_blocks(x.size, x.size, upper=True):
         # x_j - x_i >= 0 exactly for the pairs j > i, so clipping keeps them
-        d = x[rows.start:] - x[rows, None]
+        np.subtract(x[rows.start:], x[rows, None], out=d)
         np.maximum(d, 0.0, out=d)
         np.power(d, q, out=d)
         out += w[rows] @ d @ w[rows.start:]
@@ -79,8 +96,8 @@ def _cross_sum(x, v, y, w, q):
         per_x = x * (2.0 * cum_w[k] - cum_w[-1]) + cum_wy[-1] - 2.0 * cum_wy[k]
         return float(v @ per_x)
     out = 0.0
-    for rows in _row_blocks(x.size, y.size):
-        d = np.subtract.outer(x[rows], y)
+    for rows, d in _scratch_blocks(x.size, y.size):
+        np.subtract(x[rows, None], y, out=d)
         np.abs(d, out=d)
         np.power(d, q, out=d)
         out += v[rows] @ d @ w
@@ -91,13 +108,17 @@ def _exact_sum(profile, x, kernel):
     """sum_k rho_k (kernel(x - b_k) - kernel(x - b_{k+1})) per x.
 
     Summed by breakpoint: b_j carries the density jump rho_j - rho_{j-1}.
+    ``kernel(d, tmp)`` overwrites the block d = x - b with its values and may
+    use ``tmp``, a scratch block of the same shape.
     """
     b = profile.breakpoints
     jumps = np.diff(np.concatenate([[0.0], profile.densities, [0.0]]))
     flat = np.ravel(x)
     out = np.empty(flat.size)
-    for rows in _row_blocks(flat.size, b.size):
-        out[rows] = kernel(np.subtract.outer(flat[rows], b)) @ jumps
+    for rows, d, tmp in _scratch_blocks(flat.size, b.size, temps=2):
+        np.subtract(flat[rows, None], b, out=d)
+        kernel(d, tmp)
+        np.matmul(d, jumps, out=out[rows])
     return out.reshape(np.shape(x))
 
 
@@ -106,9 +127,9 @@ def _exact_U(profile, q, x):
     if q == 2.0:
         return 2.0 * profile.mass * (x - profile.com())
 
-    def kernel(d):
+    def kernel(d, tmp):
         np.abs(d, out=d)
-        return np.power(d, q, out=d)
+        np.power(d, q, out=d)
 
     return _exact_sum(profile, x, kernel)
 
@@ -122,10 +143,11 @@ def _exact_conv(profile, q, x):
         spread = profile.densities @ (b[1:] ** 3 - b[:-1] ** 3) / 3.0
         return profile.mass * (x - com) ** 2 + spread
 
-    def kernel(d):
-        mag = np.abs(d)
+    def kernel(d, mag):
+        np.abs(d, out=mag)
         np.power(mag, q + 1.0, out=mag)
-        return np.copysign(mag, d, out=mag) / (q + 1.0)
+        np.copysign(mag, d, out=d)
+        np.divide(d, q + 1.0, out=d)
 
     return _exact_sum(profile, x, kernel)
 
@@ -251,11 +273,12 @@ def attraction_U(pot, x):
         flat = x.ravel()
         out = np.empty(flat.size)
         y = pot.y_nodes
-        for rows in _row_blocks(flat.size, y.size):
-            d = np.subtract.outer(flat[rows], y)
-            mag = np.abs(d)
+        for rows, d, mag in _scratch_blocks(flat.size, y.size, temps=2):
+            np.subtract(flat[rows, None], y, out=d)
+            np.abs(d, out=mag)
             np.power(mag, q_a - 1.0, out=mag)
-            out[rows] = np.copysign(mag, d, out=mag) @ pot.quad.weights
+            np.copysign(mag, d, out=mag)
+            np.matmul(mag, pot.quad.weights, out=out[rows])
         out = q_a * out.reshape(x.shape)
     out = np.asarray(out)
     return out if out.ndim else float(out)

@@ -72,11 +72,12 @@ class InverseCDF:
         return float(np.min(np.diff(self.x_values)) * self.n)
 
     def to_csv(self, path):
+        # csv.writer's rendering, as no %.17g field needs quoting; lines are
+        # streamed, as one joined string raised the peak RSS
+        pairs = zip(self.z_grid.tolist(), self.x_values.tolist())
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["z", "x"])
-            for z, x in zip(self.z_grid, self.x_values):
-                writer.writerow([f"{z:.17g}", f"{x:.17g}"])
+            fh.write("z,x\n")
+            fh.writelines("%.17g,%.17g\n" % pair for pair in pairs)
 
     @classmethod
     def from_csv(cls, path):

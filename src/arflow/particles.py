@@ -3,6 +3,11 @@
 With particles pinned to the mass-grid midpoints, the (scaled) particle
 gradient coincides with the continuum right-hand side, so these routines
 re-derive the dynamics independently rather than re-simulating them.
+
+They sum full rows, both i < j and j < i, with the per-element formulas
+|d|^q and q sgn(d) |d|^{q-1}: no sorting and no closed forms, so they share
+no summation code with the pair sums in ``kernels``.  The rows are tiled by
+``kernels._scratch_blocks``, so memory stays under the kernels' cap.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import psi, psi_prime
+from .kernels import _scratch_blocks
 from .measures import MassQuadrature
 
 __all__ = ["ParticleSystem", "discrete_energy", "particle_rhs"]
@@ -38,6 +43,33 @@ class ParticleSystem:
         return self.positions.size
 
 
+def _row_sums(p, y, weights, q, kernel):
+    """sum_j weights_j kernel(q, p_i - y_j) for every i, in row blocks."""
+    out = np.empty(p.size)
+    for rows, d, tmp in _scratch_blocks(p.size, y.size, temps=2):
+        np.subtract(p[rows, None], y, out=d)
+        kernel(q, d, tmp)
+        if weights is not None:
+            np.multiply(weights, d, out=d)
+        np.sum(d, axis=1, out=out[rows])
+    return out
+
+
+def _psi(q, d, tmp):
+    """d <- |d|^q."""
+    np.abs(d, out=d)
+    np.power(d, q, out=d)
+
+
+def _psi_prime(q, d, mag):
+    """d <- q sgn(d) |d|^{q-1}, with ``mag`` as scratch."""
+    np.abs(d, out=mag)
+    np.power(mag, q - 1.0, out=mag)
+    np.sign(d, out=d)
+    np.multiply(q, d, out=d)
+    np.multiply(d, mag, out=d)
+
+
 def discrete_energy(sys, profile, exps, quad=None):
     """E_N = -1/(2N^2) sum psi_r(p_i - p_j) + (1/N) sum (psi_a * omega)(p_i)."""
     p = sys.positions
@@ -45,8 +77,8 @@ def discrete_energy(sys, profile, exps, quad=None):
     if quad is None:
         quad = MassQuadrature.midpoint(profile, N)
     y = profile.quantile(quad.nodes)
-    rep = np.sum(psi(exps.q_r, p[:, None] - p[None, :]))
-    attr = np.sum(np.sum(quad.weights * psi(exps.q_a, p[:, None] - y), axis=1))
+    rep = np.sum(_row_sums(p, p, None, exps.q_r, _psi))
+    attr = np.sum(_row_sums(p, y, quad.weights, exps.q_a, _psi))
     return float(-rep / (2.0 * N * N) + attr / N)
 
 
@@ -63,6 +95,6 @@ def particle_rhs(sys, profile, exps, quad=None):
     if quad is None:
         quad = MassQuadrature.midpoint(profile, N)
     y = profile.quantile(quad.nodes)
-    rep = np.sum(psi_prime(exps.q_r, p[:, None] - p[None, :]), axis=1) / N
-    attr = np.sum(quad.weights * psi_prime(exps.q_a, p[:, None] - y), axis=1)
+    rep = _row_sums(p, p, None, exps.q_r, _psi_prime) / N
+    attr = _row_sums(p, y, quad.weights, exps.q_a, _psi_prime)
     return rep - attr

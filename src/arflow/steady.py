@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import rhs
-from .kernels import AttractionPotential, Exponents
+from .kernels import AttractionPotential
 from .measures import InverseCDF, midpoint_grid
 
 __all__ = [

@@ -7,7 +7,6 @@ from arflow import (
     FlowState,
     InverseCDF,
     IntegratorConfig,
-    MassQuadrature,
     MonotonicityError,
     closed_form_q2,
     rhs,

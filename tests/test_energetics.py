@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from arflow import (
-    AttractionPotential,
     Exponents,
     InverseCDF,
     IntegratorConfig,
     MassQuadrature,
     ReferenceProfile,
-    closed_form_q2,
     dissipation,
     energy,
     energy_balance,
@@ -20,9 +18,7 @@ from arflow import (
     simulate,
     uniform_state,
 )
-from arflow import energetics
 from arflow.energetics import (
-    XiGrid,
     dq_constant,
     make_report,
     reports_to_csv,

@@ -1,0 +1,38 @@
+"""Static checks on the source tree, with the standard library only."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "arflow").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(path):
+    """Names bound by the imports of ``path`` that no expression reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name != "__init__.py"] + TESTS,
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_no_unused_imports(path):
+    # __init__.py is skipped: its imports are the package's re-exports
+    assert unused_imports(path) == [], f"unused imports in {path.name}"

@@ -8,9 +8,12 @@ from arflow import (
     Exponents,
     InverseCDF,
     MassQuadrature,
+    ParticleSystem,
     ReferenceProfile,
     attraction_U,
+    discrete_energy,
     energy,
+    particle_rhs,
     psi,
     psi_double_prime,
     psi_prime,
@@ -219,6 +222,25 @@ class TestMemoryCap:
                                      quad),
             "repulsion_direct": lambda: repulsion_direct(X.x_values, 1.3),
             "attraction_U": lambda: attraction_U(pot, X.x_values),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20, (name, peak)
+
+    def test_particle_oracle_stays_small(self, uniform_profile):
+        # one dense N x N float64 temporary would take 72 MB at N = 3000
+        n = 3000
+        sys_ = ParticleSystem(uniform_state(-1.0, 2.0, n).x_values)
+        exps = Exponents(1.5, 1.3)
+        calls = {
+            "particle_rhs": lambda: particle_rhs(sys_, uniform_profile, exps),
+            "discrete_energy": lambda: discrete_energy(sys_, uniform_profile,
+                                                       exps),
         }
         for name, call in calls.items():
             tracemalloc.start()

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -196,6 +198,24 @@ class TestInverseCDF:
         text = path.read_text()
         assert text.startswith("z,x\n")
         assert "\r" not in text
+
+    @pytest.mark.parametrize("x", [
+        [-1e300, -3.0, -0.0, 0.0, 1e-300, 0.1, 2.0, 1e300],
+        [5.0],
+        [-0.0],
+    ], ids=["awkward", "n1", "negative-zero"])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, x):
+        a = InverseCDF(np.array(x))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["z", "x"])
+        for z, v in zip(a.z_grid, a.x_values):
+            writer.writerow([f"{z:.17g}", f"{v:.17g}"])
+        path = tmp_path / "state.csv"
+        a.to_csv(path)
+        assert path.read_bytes() == expected.getvalue().encode()
+        back = InverseCDF.from_csv(path)
+        assert back.x_values.tobytes() == a.x_values.tobytes()
 
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

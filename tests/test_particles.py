@@ -105,6 +105,35 @@ class TestParticleRhs:
         assert v[0] == pytest.approx(-v[1], abs=1e-10)
 
 
+class TestBlockedOracle:
+    @pytest.mark.parametrize("q_a, q_r", [(1.3, 1.3), (2.0, 1.3), (2.0, 2.0)])
+    def test_matches_literal_dense(self, gap_profile, rng, q_a, q_r):
+        # N = 1000 is not a multiple of the 65 rows per block
+        n = 1000
+        p = np.sort(rng.uniform(-1.0, 4.0, n))
+        p[10:13] = p[10]  # coincident particles: sgn(0) = 0
+        quad = MassQuadrature.midpoint(gap_profile, n)
+        y = gap_profile.quantile(quad.nodes)
+        w = quad.weights
+        d = p[:, None] - p[None, :]
+        dy = p[:, None] - y
+        rhs_dense = (
+            np.sum(q_r * np.sign(d) * np.abs(d) ** (q_r - 1.0), axis=1) / n
+            - np.sum(w * (q_a * np.sign(dy) * np.abs(dy) ** (q_a - 1.0)),
+                     axis=1)
+        )
+        energy_dense = (
+            -np.sum(np.abs(d) ** q_r) / (2.0 * n * n)
+            + np.sum(np.sum(w * np.abs(dy) ** q_a, axis=1)) / n
+        )
+        sys_ = ParticleSystem(p)
+        exps = Exponents(q_a, q_r)
+        v = particle_rhs(sys_, gap_profile, exps, quad)
+        assert v.tobytes() == rhs_dense.tobytes()
+        e = discrete_energy(sys_, gap_profile, exps, quad)
+        assert abs(e - energy_dense) <= 1e-12
+
+
 class TestParticleFlow:
     def _rk4(self, p, dt, f):
         k1 = f(p)
