@@ -191,6 +191,10 @@ def cmd_simulate(config_path, out_dir):
 
 def cmd_steady(config_path, out_dir):
     cfg = RunConfig.load(config_path)
+    if cfg.exps.q_r != 1.0:
+        raise ConfigError(
+            f"steady builds only the q_r = 1 equilibrium, got q_r={cfg.exps.q_r}"
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ss = steady.steady_qr1(cfg.profile, cfg.exps.q_a, cfg.n)

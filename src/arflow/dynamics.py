@@ -7,6 +7,7 @@ form for q_a = q_r = 2 serves as an integrator oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +90,6 @@ class Trajectory:
     def times(self):
         return np.array([s.t for s in self.states])
 
-    def snapshots(self):
-        return [s.X for s in self.states]
-
 
 def repulsion_term(x, z, q_r):
     """Repulsion felt by each node: (1/n) sum_j psi_r'(x_i - x_j), or 2z - 1.
@@ -169,6 +167,13 @@ def step(state, cfg, pot, exps):
     return FlowState(state.t + cfg.dt, X_new, X_new.min_slope())
 
 
+def _slope_ratio(min_slope, alpha, growth):
+    """min(1, min_slope e^growth / alpha), in log space: e^growth may overflow."""
+    if min_slope <= 0.0:
+        return 0.0
+    return math.exp(min(0.0, math.log(min_slope) - math.log(alpha) + growth))
+
+
 def simulate(X0, profile, exps, cfg, quad=None, callback=None):
     """Advance X0 to t_end, recording every record_every steps.
 
@@ -191,7 +196,8 @@ def simulate(X0, profile, exps, cfg, quad=None, callback=None):
         state = step(state, cfg, pot, exps)
         if k % cfg.record_every == 0 or k == n_steps:
             states.append(state)
-            cert = min(cert, state.min_slope * np.exp(pot.lam * state.t) / alpha)
+            cert = min(cert, _slope_ratio(state.min_slope, alpha,
+                                          pot.lam * state.t))
             if callback is not None:
                 callback(state)
     return Trajectory(states, cert, pot.lam)

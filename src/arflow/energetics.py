@@ -1,27 +1,31 @@
 """Energy, dissipation, the Fourier-side energy, and moment certificates.
 
-Energy and dissipation take the datum exactly: the attraction term is the
-mean of psi_a * omega over the state's nodes, and the drift is exact, unless
-a caller passes a ``MassQuadrature``.  The repulsion term, and the datum
-terms on a quadrature, are midpoint double sums in mass coordinates, taken
-on the sorted state through the pair-sum helpers of ``kernels``.  The
-Fourier form evaluates the same quadratic energy through characteristic
-functions, and the moment certificates turn the a-priori bounds on energy
+Every datum term is exact for the piecewise-constant datum unless a caller
+passes a ``MassQuadrature``: the attraction term is the mean of
+psi_a * omega over the state's nodes, the drift is exact, the datum's self
+term is a double sum over its breakpoints, and its transform omega_hat is a
+sum over its pieces.  The repulsion term is a midpoint double sum in mass
+coordinates, taken on the sorted state through the pair-sum helpers of
+``kernels``.  The Fourier form evaluates the same quadratic energy through
+characteristic functions, on Gauss-Legendre panels uniform in ln xi, with
+an error bound that holds the truncated head and tail and the rule's own
+error.  The moment certificates turn the a-priori bounds on energy
 sublevels into checkable per-snapshot inequalities.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import rhs
-from .kernels import AttractionPotential, _cross_sum, _exact_conv, _pair_sum, \
-    _scratch_blocks
-from .measures import MassQuadrature, moment
+from .kernels import AttractionPotential, _cross_sum, _density_jumps, \
+    _exact_conv, _pair_sum, _scratch_blocks
+from .measures import moment
 
 __all__ = [
     "EnergyReport",
@@ -56,18 +60,25 @@ class EnergyReport:
     moment_r: float
 
 
+# panels of the xi rule, its Gauss-Legendre nodes per panel, and those of the
+# lower-order rule on the same panels whose difference from it estimates its
+# error
+_XI_PANELS = 12
+_XI_ORDER = 16
+_XI_CHECK_ORDER = 8
+
+
 @dataclass(frozen=True)
 class XiGrid:
-    """Symmetric log-spaced frequency grid (positive half stored)."""
+    """Frequency panels on [xi_min, xi_max], uniform in ln xi (positive half)."""
 
     xi_min: float = 1e-4
     xi_max: float = 1e3
-    nodes_per_side: int = 4000
 
-    def positive_nodes(self):
-        return np.logspace(
-            np.log10(self.xi_min), np.log10(self.xi_max), self.nodes_per_side
-        )
+    @property
+    def nodes_per_side(self):
+        """xi nodes per side at which the character sums run, check rule's too."""
+        return _XI_PANELS * (_XI_ORDER + _XI_CHECK_ORDER)
 
 
 @dataclass(frozen=True)
@@ -175,17 +186,119 @@ def _char_fn(points, weights, xi):
     return out
 
 
+def _datum_transform(profile, quad=None, shift=0.0):
+    """omega_hat and the moments m_1..m_3 of the datum translated by -shift.
+
+    Exact by pieces unless ``quad`` is given.  A piece of density rho, width
+    w and midpoint c adds rho w e^{-i xi c} sinc(xi w / 2), which does not
+    cancel at small xi as the breakpoint (jump) form does.
+    """
+    if quad is not None:
+        y = profile.quantile(quad.nodes) - shift
+        w = quad.weights
+        return ((lambda xi: _char_fn(y, w, xi)),
+                tuple(float(w @ y**k) for k in (1, 2, 3)))
+    b = profile.breakpoints
+    width = np.diff(b)
+    centre = b[:-1] + 0.5 * width - shift
+    mass = profile.densities * width
+    moments = (float(mass @ centre),
+               float(mass @ (centre**2 + width**2 / 12.0)),
+               float(mass @ (centre**3 + centre * width**2 / 4.0)))
+
+    def transform(xi):
+        out = np.empty(xi.size, dtype=complex)
+        for rows, amp, phase, trig in _scratch_blocks(xi.size, width.size,
+                                                      temps=3):
+            # np.sinc(t) = sin(pi t) / (pi t)
+            np.multiply(xi[rows, None], width / (2.0 * np.pi), out=amp)
+            amp[...] = np.sinc(amp)
+            np.multiply(xi[rows, None], centre, out=phase)
+            np.multiply(np.cos(phase, out=trig), amp, out=trig)
+            out[rows].real = trig @ mass
+            np.multiply(np.sin(phase, out=trig), amp, out=trig)
+            out[rows].imag = -(trig @ mass)
+        return out
+
+    return transform, moments
+
+
+def _omega_pair_sum(profile, q, quad=None):
+    """Double integral of |x - y|^q against the datum twice.
+
+    Exact unless ``quad`` is given: -sum_ij J_i J_j G(b_i - b_j) over the
+    breakpoints b, with J_j the density jump at b_j and
+    G(u) = |u|^{q+2} / ((q+1)(q+2)) the second primitive of |u|^q.
+    """
+    if quad is not None:
+        return _pair_sum(profile.quantile(quad.nodes), quad.weights, q)
+    return -_pair_sum(profile.breakpoints, _density_jumps(profile),
+                      q + 2.0) / ((q + 1.0) * (q + 2.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order):
+    """Nodes and weights of the order-point Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(order)
+
+
+def _panel_rule(xi_grid, order):
+    """Nodes and weights, (panels, order), of Gauss-Legendre on each panel.
+
+    The panels are uniform in s = ln xi, and dxi = xi ds goes into the
+    weights.
+    """
+    t, w = _gauss_legendre(order)
+    edges = np.linspace(math.log(xi_grid.xi_min), math.log(xi_grid.xi_max),
+                        _XI_PANELS + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    xi = np.exp(edges[:-1, None] + half * (1.0 + t))
+    return xi, half * w * xi
+
+
+def _xi_integral(char_diff, moments, q, xi_grid):
+    """2 int_0^inf |char_diff(xi)|^2 xi^{-1-q} dxi, and an error bound.
+
+    ``char_diff`` is the transform of a zero-mass signed measure whose first
+    three moments are ``moments`` = (d1, d2, d3), so at small xi
+    |char_diff|^2 = d1^2 xi^2 + (d2^2/4 - d1 d3/3) xi^4 + ....  The value
+    is the panel rule on [xi_min, xi_max] plus the first head order below
+    xi_min.  The bound holds the next head order, the
+    tail beyond xi_max (where |char_diff| <= 2), and, panel by panel, the
+    difference between the rule and the lower-order check rule.
+    """
+    xi_hi, w_hi = _panel_rule(xi_grid, _XI_ORDER)
+    xi_lo, w_lo = _panel_rule(xi_grid, _XI_CHECK_ORDER)
+    xi = np.concatenate([xi_hi.ravel(), xi_lo.ravel()])
+    diff = char_diff(xi)
+    f = (diff.real**2 + diff.imag**2) * xi ** (-1.0 - q)
+    panel_hi = np.sum(w_hi * f[:xi_hi.size].reshape(w_hi.shape), axis=1)
+    panel_lo = np.sum(w_lo * f[xi_hi.size:].reshape(w_lo.shape), axis=1)
+    rule_err = float(np.sum(np.abs(panel_hi - panel_lo)))
+
+    d1, d2, d3 = moments
+    head = d1 * d1 * xi_grid.xi_min ** (2.0 - q) / (2.0 - q)
+    head_rem = ((d2 * d2 / 4.0 + abs(d1 * d3) / 3.0)
+                * xi_grid.xi_min ** (4.0 - q) / (4.0 - q))
+    tail = (4.0 / q) * xi_grid.xi_max ** (-q)
+    body = float(np.sum(panel_hi))
+    return 2.0 * (body + head), 2.0 * (head_rem + tail + rule_err)
+
+
 def tilde_energy(X, profile, q, quad=None):
-    """-1/2 double integral of |x-y|^q against (mu - omega) twice, by sums."""
-    if quad is None:
-        quad = MassQuadrature.midpoint(profile, X.n)
+    """-1/2 double integral of |x-y|^q against (mu - omega) twice, by sums.
+
+    The datum terms are exact unless ``quad`` is given.
+    """
     x = X.x_values
     w_mu = np.full(X.n, 1.0 / X.n)
-    y = profile.quantile(quad.nodes)
-    w_om = quad.weights
     s_mm = _pair_sum(x, w_mu, q)
-    s_mo = _cross_sum(x, w_mu, y, w_om, q)
-    s_oo = _pair_sum(y, w_om, q)
+    if quad is None:
+        s_mo = float(np.mean(_exact_conv(profile, q, x)))
+    else:
+        y = profile.quantile(quad.nodes)
+        s_mo = _cross_sum(x, w_mu, y, quad.weights, q)
+    s_oo = _omega_pair_sum(profile, q, quad)
     return -0.5 * (s_mm - 2.0 * s_mo + s_oo)
 
 
@@ -193,9 +306,10 @@ def fourier_energy(X, profile, q, xi_grid=None, quad=None):
     """D_q integral of |mu_hat - omega_hat|^2 |xi|^{-1-q} over the line.
 
     Valid in the balanced regime with unit-mass datum (the difference of the
-    characteristic functions must vanish at xi = 0).  The analytically known
-    first-moment head term below xi_min is included in the value; the tail
-    beyond xi_max and the next head order go into the error bound.
+    characteristic functions must vanish at xi = 0).  The datum's transform
+    is exact unless ``quad`` is given.  Both measures are centred on the
+    datum's mean, which leaves |mu_hat - omega_hat| unchanged.  The error
+    bound is that of ``_xi_integral``.
     """
     if not 1.0 < q < 2.0:
         raise ValueError("fourier energy requires q in (1, 2)")
@@ -203,39 +317,23 @@ def fourier_energy(X, profile, q, xi_grid=None, quad=None):
         raise ValueError("fourier energy requires a unit-mass datum")
     if xi_grid is None:
         xi_grid = XiGrid()
-    if quad is None:
-        quad = MassQuadrature.midpoint(profile, X.n)
-    x = X.x_values
+    shift = profile.com()
+    x = X.x_values - shift
     w_mu = np.full(X.n, 1.0 / X.n)
-    y = profile.quantile(quad.nodes)
-    w_om = quad.weights
-
-    xi = xi_grid.positive_nodes()
-    diff = _char_fn(x, w_mu, xi) - _char_fn(y, w_om, xi)
-    integrand = np.abs(diff) ** 2 * xi ** (-1.0 - q)
-    body = 2.0 * _trapezoid(integrand, xi)
-
-    # moment differences drive the small-xi asymptotics
-    d1 = float(w_mu @ x - w_om @ y)
-    d2 = float(w_mu @ x**2 - w_om @ y**2)
-    d3 = float(w_mu @ x**3 - w_om @ y**3)
-    head = 2.0 * d1 * d1 * xi_grid.xi_min ** (2.0 - q) / (2.0 - q)
-    head_rem = (
-        2.0 * (d2 * d2 / 4.0 + abs(d1 * d3) / 3.0)
-        * xi_grid.xi_min ** (4.0 - q) / (4.0 - q)
-    )
-    tail = 2.0 * (4.0 / q) * xi_grid.xi_max ** (-q)
-
+    omega_hat, m_omega = _datum_transform(profile, quad, shift)
+    moments = [float(np.mean(x**k)) - m for k, m in zip((1, 2, 3), m_omega)]
+    value, bound = _xi_integral(
+        lambda xi: _char_fn(x, w_mu, xi) - omega_hat(xi), moments, q, xi_grid)
     dq = dq_constant(q)
-    return FourierEnergy(dq * (body + head), dq * (head_rem + tail))
+    return FourierEnergy(dq * value, dq * bound)
 
 
 def self_energy_constant(profile, q, quad=None):
-    """C = 1/2 double integral of |x-y|^q against the datum twice."""
-    if quad is None:
-        quad = MassQuadrature.midpoint(profile, 400)
-    y = profile.quantile(quad.nodes)
-    return 0.5 * _pair_sum(y, quad.weights, q)
+    """C = 1/2 double integral of |x-y|^q against the datum twice.
+
+    Exact unless ``quad`` is given.
+    """
+    return 0.5 * _omega_pair_sum(profile, q, quad)
 
 
 # -- moment certificates -------------------------------------------------
@@ -279,17 +377,9 @@ def moment_certificate(reports, exps, profile, xi_grid=None, quad=None):
 
 
 def _omega_vs_point_mass(profile, q, xi_grid, quad=None):
-    # integral of |1 - omega_hat|^2 |xi|^{-1-q}; upper estimates for the
-    # truncated head/tail keep the certificate a valid bound
-    if quad is None:
-        quad = MassQuadrature.midpoint(profile, 400)
-    y = profile.quantile(quad.nodes)
-    w = quad.weights
-    xi = xi_grid.positive_nodes()
-    diff = 1.0 - _char_fn(y, w, xi)
-    body = 2.0 * _trapezoid(np.abs(diff) ** 2 * xi ** (-1.0 - q), xi)
-    m1 = float(w @ y)
-    m2 = float(w @ y**2)
-    head = 2.0 * (m1 * m1 + m2 * m2 / 4.0) * xi_grid.xi_min ** (2.0 - q) / (2.0 - q)
-    tail = 2.0 * (4.0 / q) * xi_grid.xi_max ** (-q)
-    return body + head + tail
+    # integral of |1 - omega_hat|^2 |xi|^{-1-q} plus its error bound, an upper
+    # estimate that keeps the certificate a valid bound
+    omega_hat, moments = _datum_transform(profile, quad)
+    value, bound = _xi_integral(lambda xi: 1.0 - omega_hat(xi),
+                                [-m for m in moments], q, xi_grid)
+    return value + bound

@@ -59,12 +59,16 @@ def _scratch_blocks(rows, cols, upper=False, temps=1):
 
 
 def _pair_sum(x, w, q):
-    """sum_ij w_i w_j |x_i - x_j|^q for nondecreasing x."""
-    total = np.sum(w)
-    centred = x - (w @ x) / total
-    if q == 2.0:
-        return float(2.0 * total * (w @ (centred * centred)))
-    if q == 1.0:
+    """sum_ij w_i w_j |x_i - x_j|^q for nondecreasing x.
+
+    The closed forms at q = 1 and q = 2 need a nonzero total weight; the
+    blocked sum takes weights of any sign and total.
+    """
+    if q in (1.0, 2.0):
+        total = np.sum(w)
+        centred = x - (w @ x) / total
+        if q == 2.0:
+            return float(2.0 * total * (w @ (centred * centred)))
         # pair i < j adds w_i w_j (x_j - x_i): x_i collects the mass below
         # it minus the mass above it
         cum = np.cumsum(w)
@@ -104,6 +108,11 @@ def _cross_sum(x, v, y, w, q):
     return float(out)
 
 
+def _density_jumps(profile):
+    """rho_j - rho_{j-1} at each breakpoint b_j, with rho = 0 off the support."""
+    return np.diff(np.concatenate([[0.0], profile.densities, [0.0]]))
+
+
 def _exact_sum(profile, x, kernel):
     """sum_k rho_k (kernel(x - b_k) - kernel(x - b_{k+1})) per x.
 
@@ -112,7 +121,7 @@ def _exact_sum(profile, x, kernel):
     use ``tmp``, a scratch block of the same shape.
     """
     b = profile.breakpoints
-    jumps = np.diff(np.concatenate([[0.0], profile.densities, [0.0]]))
+    jumps = _density_jumps(profile)
     flat = np.ravel(x)
     out = np.empty(flat.size)
     for rows, d, tmp in _scratch_blocks(flat.size, b.size, temps=2):
@@ -233,14 +242,6 @@ class AttractionPotential:
             y.setflags(write=False)
         object.__setattr__(self, "y_nodes", y)
         object.__setattr__(self, "lam", lipschitz_bound(self.profile, self.q_a))
-
-    @classmethod
-    def build(cls, profile, q_a, quad=None, num_nodes=None):
-        """The potential on ``quad``, or the exact one without it.
-
-        ``num_nodes`` has no effect: the exact potential needs no nodes.
-        """
-        return cls(profile, q_a, quad)
 
     def __call__(self, x):
         return attraction_U(self, x)

@@ -178,7 +178,7 @@ def test_criterion_05_steady_construction():
     for prof, q_a in ((profile_m(1.0), 1.5), (profile_m(1.0), 2.0),
                       (profile_m(2.0), 1.5)):
         ss = steady_qr1(prof, q_a, n)
-        pot = AttractionPotential.build(prof, q_a, num_nodes=n)
+        pot = AttractionPotential(prof, q_a)
         lev = max(abs(pot(ss.x_lo) + 1.0), abs(pot(ss.x_zero)),
                   abs(pot(ss.x_hi) - 1.0))
         x = ss.Xstar.x_values

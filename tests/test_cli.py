@@ -173,6 +173,17 @@ class TestSteady:
         assert doc["kind"] == "none_exists"
         assert not (out / "steady.csv").exists()
 
+    def test_qr_not_1_exit_2_before_output(self, tmp_path, capsys):
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.4, "n": 64,
+        })
+        out = tmp_path / "steady"
+        assert cli.main(["steady", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        assert "q_r = 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleCheck:
     def test_default_suite_passes(self, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from arflow import (
     uniform_state,
     wasserstein,
 )
-from arflow import kernels
+from arflow import dynamics, kernels
 from arflow.dynamics import repulsion_direct, repulsion_term
 from arflow.kernels import psi_prime
 from arflow.steady import steady_qr1, steady_residual
@@ -61,14 +64,14 @@ class TestRhs:
     def test_q2_at_center_of_mass(self, uniform_profile):
         n = 32
         X = InverseCDF(np.full(n, uniform_profile.com()))
-        pot = AttractionPotential.build(uniform_profile, 2.0, num_nodes=n)
+        pot = AttractionPotential(uniform_profile, 2.0)
         v = rhs(X, pot, Exponents(2.0, 2.0))
         assert np.max(np.abs(v)) <= 1e-13
 
     def test_q1_deep_left(self, dense2_profile):
         n = 24
         X = uniform_state(-10.0, -9.0, n)
-        pot = AttractionPotential.build(dense2_profile, 1.0, num_nodes=n)
+        pot = AttractionPotential(dense2_profile, 1.0)
         v = rhs(X, pot, Exponents(1.0, 1.0))
         z = X.z_grid
         m = dense2_profile.mass
@@ -83,7 +86,7 @@ class TestRhs:
     def test_frozen_left_edge_at_z_zero(self, uniform_profile):
         # at z = 0 with m = 1 and X left of the support the drift vanishes
         # exactly: 2 z - 1 - (2 G - m) = 0 - 2 G = 0
-        pot = AttractionPotential.build(uniform_profile, 1.0, num_nodes=16)
+        pot = AttractionPotential(uniform_profile, 1.0)
         x = np.array([-5.0])
         v = repulsion_term(x, np.array([0.0]), 1.0) - pot(x)
         assert v[0] == 0.0
@@ -99,7 +102,7 @@ class TestStep:
     def test_fixed_point(self, uniform_profile):
         n = 100
         ss = steady_qr1(uniform_profile, 2.0, n)
-        pot = AttractionPotential.build(uniform_profile, 2.0, num_nodes=n)
+        pot = AttractionPotential(uniform_profile, 2.0)
         cfg = IntegratorConfig(dt=0.01, t_end=1.0)
         state = FlowState.initial(ss.Xstar)
         new = step(state, cfg, pot, Exponents(2.0, 1.0))
@@ -110,7 +113,7 @@ class TestStep:
         n = 50
         X0 = uniform_state(1.0, 2.0, n)
         dt = 0.01
-        pot = AttractionPotential.build(uniform_profile, 2.0, num_nodes=n)
+        pot = AttractionPotential(uniform_profile, 2.0)
         cfg = IntegratorConfig(dt=dt, t_end=dt)
         new = step(FlowState.initial(X0), cfg, pot, Exponents(2.0, 2.0))
         exact = closed_form_q2(X0, uniform_profile, dt)
@@ -131,7 +134,7 @@ class TestStep:
         assert 1.7 <= ratio <= 2.3
 
     def test_dt_guard(self, uniform_profile):
-        pot = AttractionPotential.build(uniform_profile, 2.0, num_nodes=16)
+        pot = AttractionPotential(uniform_profile, 2.0)
         cfg = IntegratorConfig(dt=10.0, t_end=10.0)
         state = FlowState.initial(uniform_state(0.0, 1.0, 16))
         with pytest.raises(ValueError, match="guard"):
@@ -211,6 +214,39 @@ class TestSimulate:
         traj = simulate(X0, dense2_profile, Exponents(2.0, 2.0), cfg)
         assert traj.slope_certificate >= 1.0 - 1e-6
         assert traj.lam == pytest.approx(2.0 * dense2_profile.mass)
+
+    @staticmethod
+    def run_past_exp_overflow(profile):
+        # lambda t = 2 * 360 = 720, past ln(max double) = 709.78, where
+        # e^{lambda t} overflows
+        X0 = uniform_state(2.0, 3.0, 16)
+        cfg = IntegratorConfig(dt=0.25, t_end=360.0, record_every=1440)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = simulate(X0, profile, Exponents(2.0, 2.0), cfg)
+        assert traj.lam * traj.times[-1] > 709.0
+        return traj
+
+    def test_slope_certificate_past_exp_overflow(self, uniform_profile):
+        # at m = 1 and q = 2 the slopes stay put, so the certificate is 1
+        traj = self.run_past_exp_overflow(uniform_profile)
+        assert traj.slope_certificate == 1.0
+
+    def test_collapsed_slope_zeroes_certificate(self, uniform_profile,
+                                                monkeypatch):
+        # min_slope e^{lambda t} was 0 * inf = nan here, and min(cert, nan)
+        # kept the old value
+        real_step = dynamics.step
+
+        def collapse_at_end(state, cfg, pot, exps):
+            new = real_step(state, cfg, pot, exps)
+            if new.t < cfg.t_end:
+                return new
+            return dataclasses.replace(new, min_slope=0.0)
+
+        monkeypatch.setattr(dynamics, "step", collapse_at_end)
+        traj = self.run_past_exp_overflow(uniform_profile)
+        assert traj.slope_certificate == 0.0
 
     def test_order_preserved_along_run(self, uniform_profile):
         X0 = uniform_state(-1.0, 2.0, 80)

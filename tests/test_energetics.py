@@ -19,6 +19,8 @@ from arflow import (
     uniform_state,
 )
 from arflow.energetics import (
+    XiGrid,
+    _datum_transform,
     dq_constant,
     make_report,
     reports_to_csv,
@@ -26,6 +28,7 @@ from arflow.energetics import (
     tilde_energy,
 )
 from arflow.kernels import psi, psi_prime
+from arflow.measures import midpoint_grid
 from arflow.steady import steady_qr1
 
 
@@ -152,7 +155,8 @@ class TestFourierEnergy:
     def test_zero_on_identical_samples(self, uniform_profile):
         n = 100
         X = sample_profile(uniform_profile, n)
-        fe = fourier_energy(X, uniform_profile, 1.5)
+        quad = MassQuadrature.midpoint(uniform_profile, n)
+        fe = fourier_energy(X, uniform_profile, 1.5, quad=quad)
         assert abs(fe.value) <= fe.error_bound + 1e-12
 
     def test_preconditions(self, dense2_profile, uniform_profile):
@@ -178,6 +182,97 @@ class TestFourierEnergy:
             e_hat = fourier_energy(X, uniform_profile, q, quad=quad).value
             e_tilde = tilde_energy(X, uniform_profile, q, quad)
             assert abs(e_hat - e_tilde) / abs(e_tilde) <= 1e-3
+
+
+class TestFourierErrorBound:
+    """The bound holds the truncated head and tail and the rule's own error."""
+
+    @pytest.mark.parametrize("q", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("exact", [False, True],
+                             ids=["quadrature", "exact"])
+    def test_covers_criterion_10_cases(self, uniform_profile, q, exact):
+        n = 200
+        quad = None if exact else MassQuadrature.midpoint(uniform_profile, n)
+        z = midpoint_grid(n)
+        for X in (uniform_state(0.5, 1.5, n), uniform_state(-1.0, 1.0, n),
+                  InverseCDF(z**2)):
+            fe = fourier_energy(X, uniform_profile, q, quad=quad)
+            observed = abs(fe.value - tilde_energy(X, uniform_profile, q, quad))
+            assert observed <= fe.error_bound, (observed, fe.error_bound)
+
+    def test_nodes_per_side_counts_both_rules(self):
+        # 16 Gauss-Legendre nodes per panel, and 8 for the check rule
+        assert XiGrid().nodes_per_side == 12 * 24
+
+    def test_far_from_origin(self):
+        # both measures are centred on the datum's mean, so a common offset
+        # of 1e6 costs only the digits of the shifted state
+        near = ReferenceProfile([0.0, 1.0], [1.0])
+        far = ReferenceProfile([1e6, 1e6 + 1.0], [1.0])
+        X_far = uniform_state(1e6 - 1.0, 1e6 + 0.5, 64)
+        X_near = InverseCDF(X_far.x_values - 1e6)
+        for q in (1.3, 1.7):
+            a = fourier_energy(X_near, near, q).value
+            b = fourier_energy(X_far, far, q).value
+            assert abs(a - b) <= 1e-9
+
+
+class TestExactDatumTransform:
+    """omega_hat and the datum's self term, exact against the mass quadrature."""
+
+    # the gap sits at a third of the mass, so for every M = 100 * 2^k it
+    # falls a third of the way into a midpoint cell: the quadrature is
+    # first order there, with a constant that does not change as M doubles
+    GAP = ReferenceProfile([0.0, 1.0, 2.0, 4.0], [1.0, 0.0, 1.0])
+    SIZES = (100, 200, 400, 800, 1600)
+
+    @staticmethod
+    def orders(errs):
+        return np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+
+    def test_transform_order_against_quadrature(self):
+        xi = np.geomspace(1e-4, 10.0, 60)
+        exact = _datum_transform(self.GAP)[0](xi)
+        errs = [
+            np.max(np.abs(_datum_transform(
+                self.GAP, MassQuadrature.midpoint(self.GAP, m))[0](xi) - exact))
+            for m in self.SIZES
+        ]
+        assert np.all(self.orders(errs) >= 0.9), (errs, self.orders(errs))
+
+    def test_no_cancellation_at_xi_min(self):
+        # the jump form sum_j J_j e^{-i xi b_j} / (i xi) has terms of size
+        # 1/xi = 1e4 here and loses about 1e-12; past the cubic term the
+        # Taylor remainder is below xi^4 E[Y^4] / 24, about 1e-17
+        prof = ReferenceProfile([0.0, 0.5, 2.0], [1.0, 1.0 / 3.0])
+        b = prof.breakpoints
+        m1, m2, m3 = (float(prof.densities @ (b[1:] ** (k + 1) - b[:-1] ** (k + 1))
+                            / (k + 1)) for k in (1, 2, 3))
+        omega_hat, moments = _datum_transform(prof)
+        assert moments == pytest.approx((m1, m2, m3), rel=1e-14)
+        xi = XiGrid().xi_min
+        taylor = 1.0 - 1j * xi * m1 - xi**2 * m2 / 2.0 + 1j * xi**3 * m3 / 6.0
+        assert abs(omega_hat(np.array([xi]))[0] - taylor) <= 1e-15
+
+    @pytest.mark.parametrize("q", [1.0, 1.2, 1.5, 1.8, 2.0])
+    def test_self_term_order_against_quadrature(self, q):
+        exact = self_energy_constant(self.GAP, q)
+        errs = [
+            abs(self_energy_constant(
+                self.GAP, q, MassQuadrature.midpoint(self.GAP, m)) - exact)
+            for m in self.SIZES
+        ]
+        assert np.all(self.orders(errs) >= 0.9), (errs, self.orders(errs))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    def test_self_term_on_unit_interval(self, q, offset):
+        # 1/2 of the double integral of |x - y|^q over [0, 1]^2
+        prof = ReferenceProfile([offset, offset + 1.0], [1.0])
+        c = self_energy_constant(prof, q)
+        assert abs(c - 1.0 / ((q + 1.0) * (q + 2.0))) <= 1e-12
+        quad = MassQuadrature.midpoint(prof, 4000)
+        assert abs(c - self_energy_constant(prof, q, quad)) <= 1e-7
 
 
 class TestMomentCertificate:

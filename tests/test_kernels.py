@@ -20,6 +20,7 @@ from arflow import (
     uniform_state,
 )
 from arflow.dynamics import repulsion_direct
+from arflow.energetics import self_energy_constant
 
 
 class TestExponents:
@@ -88,20 +89,20 @@ class TestPsi:
 
 class TestAttractionU:
     def test_quadratic_affine(self, uniform_profile):
-        pot = AttractionPotential.build(uniform_profile, 2.0, num_nodes=200)
+        pot = AttractionPotential(uniform_profile, 2.0)
         assert attraction_U(pot, 1.0) == pytest.approx(1.0, abs=1e-12)
         assert attraction_U(pot, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_q1_left_of_support(self, dense2_profile):
-        pot = AttractionPotential.build(dense2_profile, 1.0, num_nodes=100)
+        pot = AttractionPotential(dense2_profile, 1.0)
         assert attraction_U(pot, -3.0) == -2.0
 
     def test_q1_median(self, dense2_profile):
-        pot = AttractionPotential.build(dense2_profile, 1.0, num_nodes=100)
+        pot = AttractionPotential(dense2_profile, 1.0)
         assert attraction_U(pot, 0.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_q1_bounded(self, gap_profile):
-        pot = AttractionPotential.build(gap_profile, 1.0, num_nodes=100)
+        pot = AttractionPotential(gap_profile, 1.0)
         x = np.linspace(-5.0, 8.0, 300)
         u = attraction_U(pot, x)
         m = gap_profile.mass
@@ -109,14 +110,14 @@ class TestAttractionU:
 
     def test_nondecreasing(self, gap_profile):
         for q_a in (1.0, 1.4, 1.8, 2.0):
-            pot = AttractionPotential.build(gap_profile, q_a, num_nodes=150)
+            pot = AttractionPotential(gap_profile, q_a)
             x = np.linspace(-4.0, 7.0, 400)
             u = attraction_U(pot, x)
             assert np.all(np.diff(u) >= -1e-12)
 
     def test_lipschitz_finite_difference(self, uniform_profile, rng):
         for q_a in (1.0, 1.5, 2.0):
-            pot = AttractionPotential.build(uniform_profile, q_a, num_nodes=400)
+            pot = AttractionPotential(uniform_profile, q_a)
             lam = pot.lam
             a = rng.uniform(-2.0, 3.0, 200)
             b = rng.uniform(-2.0, 3.0, 200)
@@ -124,21 +125,21 @@ class TestAttractionU:
             assert np.all(du <= lam * np.abs(a - b) + 1e-2)
 
     def test_callable(self, uniform_profile):
-        pot = AttractionPotential.build(uniform_profile, 2.0)
+        pot = AttractionPotential(uniform_profile, 2.0)
         assert pot(1.0) == attraction_U(pot, 1.0)
 
 
 class TestLipschitzLambda:
     def test_q1(self, uniform_profile):
-        pot = AttractionPotential.build(uniform_profile, 1.0)
+        pot = AttractionPotential(uniform_profile, 1.0)
         assert pot.lam == 2.0
 
     def test_q2(self, uniform_profile):
-        pot = AttractionPotential.build(uniform_profile, 2.0)
+        pot = AttractionPotential(uniform_profile, 2.0)
         assert pot.lam == 2.0
 
     def test_intermediate(self, uniform_profile):
-        pot = AttractionPotential.build(uniform_profile, 1.5)
+        pot = AttractionPotential(uniform_profile, 1.5)
         assert pot.lam == pytest.approx(3.75, abs=1e-14)
 
 
@@ -204,7 +205,7 @@ class TestExactDatumIntegrals:
                    - energy(X_far, far, exps, quad)) <= 1e-5
 
     def test_exact_potential_nodes_are_breakpoints(self):
-        pot = AttractionPotential.build(self.GAP, 1.5, num_nodes=50)
+        pot = AttractionPotential(self.GAP, 1.5)
         assert pot.quad is None
         assert np.array_equal(pot.y_nodes, self.GAP.breakpoints)
         assert not pot.y_nodes.flags.writeable
@@ -261,6 +262,7 @@ class TestMemoryCap:
         calls = {
             "energy": lambda: energy(X, prof, Exponents(1.5, 1.0)),
             "attraction_U": lambda: attraction_U(pot, X.x_values),
+            "self_energy_constant": lambda: self_energy_constant(prof, 1.5),
         }
         for name, call in calls.items():
             tracemalloc.start()

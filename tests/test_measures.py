@@ -223,6 +223,12 @@ class TestInverseCDF:
         with pytest.raises(ValueError):
             InverseCDF.from_csv(path)
 
+    def test_csv_ragged_rows(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("z,x\n0.25,0.0\n0.75\n")
+        with pytest.raises(ValueError):
+            InverseCDF.from_csv(path)
+
 
 class TestReferenceProfile:
     def test_mass_and_bound(self, gap_profile):

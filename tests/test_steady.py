@@ -97,7 +97,7 @@ class TestSteadyQr1:
         n = 400
         for q_a in (1.5, 2.0):
             ss = steady_qr1(gap_profile, q_a, n)
-            pot = AttractionPotential.build(gap_profile, q_a, num_nodes=n)
+            pot = AttractionPotential(gap_profile, q_a)
             assert pot(ss.x_lo) == pytest.approx(-1.0, abs=1e-10)
             assert pot(ss.x_zero) == pytest.approx(0.0, abs=1e-10)
             assert pot(ss.x_hi) == pytest.approx(1.0, abs=1e-10)
@@ -115,7 +115,7 @@ class TestSteadyQr1:
         n = 400
         q_a = 1.5
         ss = steady_qr1(uniform_profile, q_a, n)
-        pot = AttractionPotential.build(uniform_profile, q_a, num_nodes=n)
+        pot = AttractionPotential(uniform_profile, q_a)
         x = ss.Xstar.x_values
         dx = np.diff(x)
         dens = (1.0 / n) / dx
@@ -158,7 +158,7 @@ class TestSteadyResidual:
     def test_far_from_equilibrium(self, uniform_profile):
         n = 64
         X = InverseCDF(np.full(n, 3.0))
-        pot = AttractionPotential.build(uniform_profile, 2.0, num_nodes=n)
+        pot = AttractionPotential(uniform_profile, 2.0)
         res = steady_residual(X, uniform_profile, Exponents(2.0, 1.0))
         z1 = 0.5 / n
         assert res >= abs(2.0 * z1 - 1.0 - pot(3.0)) - 1e-12
