@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import AttractionPotential, _scratch_blocks
+from .kernels import AttractionPotential, _half_triangle
 from .measures import InverseCDF
 
 __all__ = [
@@ -116,14 +116,7 @@ def repulsion_direct(x, q_r):
     xs = x[order]
     n = xs.size
     acc = np.zeros(n)
-    for rows, d in _scratch_blocks(n, n, upper=True):
-        # clipping drops the pairs j <= i; sign keeps 0**0 out at q_r = 1
-        np.subtract(xs[rows.start:], xs[rows, None], out=d)
-        np.maximum(d, 0.0, out=d)
-        if q_r == 1.0:
-            np.sign(d, out=d)
-        else:
-            np.power(d, q_r - 1.0, out=d)
+    for rows, d in _half_triangle(xs, q_r - 1.0):
         acc[rows] -= d.sum(axis=1)
         acc[rows.start:] += d.sum(axis=0)
     out = np.empty(n)

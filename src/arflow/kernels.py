@@ -58,6 +58,31 @@ def _scratch_blocks(rows, cols, upper=False, temps=1):
                         for k in range(temps)))
 
 
+def _half_triangle(x, p):
+    """Row blocks of |x_j - x_i|^p over the pairs j > i, for nondecreasing x.
+
+    Yields ``(rows, block)`` with block[r, c] the term of the pair
+    (rows.start + r, rows.start + c), a window of one scratch buffer: the
+    columns j >= rows.start.  The entries j <= i of the block's own square
+    are zeroed after the power; taking |.| first keeps them positive, as
+    ``np.power`` of 0.0 is several times slower than of a positive number.
+    At p = 0 the term is sgn(x_j - x_i), so tied pairs give 0, not 0**0.
+    """
+    tri = None
+    for rows, d in _scratch_blocks(x.size, x.size, upper=True):
+        np.subtract(x[rows.start:], x[rows, None], out=d)
+        np.abs(d, out=d)
+        if p == 0.0:
+            np.sign(d, out=d)
+        else:
+            np.power(d, p, out=d)
+        r = rows.stop - rows.start
+        if tri is None:  # the first block is the largest
+            tri = np.tri(r, dtype=bool)
+        np.copyto(d[:, :r], 0.0, where=tri[:r, :r])
+        yield rows, d
+
+
 def _pair_sum(x, w, q):
     """sum_ij w_i w_j |x_i - x_j|^q for nondecreasing x.
 
@@ -74,11 +99,7 @@ def _pair_sum(x, w, q):
         cum = np.cumsum(w)
         return float(2.0 * ((w * centred) @ (2.0 * cum - w - cum[-1])))
     out = 0.0
-    for rows, d in _scratch_blocks(x.size, x.size, upper=True):
-        # x_j - x_i >= 0 exactly for the pairs j > i, so clipping keeps them
-        np.subtract(x[rows.start:], x[rows, None], out=d)
-        np.maximum(d, 0.0, out=d)
-        np.power(d, q, out=d)
+    for rows, d in _half_triangle(x, q):
         out += w[rows] @ d @ w[rows.start:]
     return float(2.0 * out)
 

@@ -6,8 +6,12 @@ re-derive the dynamics independently rather than re-simulating them.
 
 They sum full rows, both i < j and j < i, with the per-element formulas
 |d|^q and q sgn(d) |d|^{q-1}: no sorting and no closed forms, so they share
-no summation code with the pair sums in ``kernels``.  The rows are tiled by
-``kernels._scratch_blocks``, so memory stays under the kernels' cap.
+no summation code with the pair sums in ``kernels``.  The datum term is
+exact: the piecewise-constant datum integrates each formula piece by piece
+through its primitive, with the pieces' two ends as signed sources.  A
+``MassQuadrature``, where a caller passes one, replaces it by a sum over
+the quantile nodes.  The rows are tiled by ``kernels._scratch_blocks``, so
+memory stays under the kernels' cap.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _scratch_blocks
-from .measures import MassQuadrature
 
 __all__ = ["ParticleSystem", "discrete_energy", "particle_rhs"]
 
@@ -70,15 +73,40 @@ def _psi_prime(q, d, mag):
     np.multiply(d, mag, out=d)
 
 
+def _primitive(q, d, mag):
+    """d <- sgn(d) |d|^{q+1} / (q+1), the primitive of |d|^q."""
+    np.abs(d, out=mag)
+    np.power(mag, q + 1.0, out=mag)
+    np.copysign(mag, d, out=d)
+    np.divide(d, q + 1.0, out=d)
+
+
+def _datum_sums(p, profile, q, quad, kernel, primitive):
+    """(kernel(q, .) * omega)(p_i) for every i.
+
+    Exact by default: over the piece [b_k, b_{k+1}] of density rho_k the
+    integral is rho_k (P(p - b_k) - P(p - b_{k+1})), with P = ``primitive``
+    an antiderivative of the kernel.  With ``quad`` it is the quadrature
+    sum_j w_j kernel(q, p_i - Y(zeta_j)).
+    """
+    if quad is not None:
+        y = profile.quantile(quad.nodes)
+        return _row_sums(p, y, quad.weights, q, kernel)
+    b = profile.breakpoints
+    rho = profile.densities
+    ends = np.concatenate([b[:-1], b[1:]])
+    return _row_sums(p, ends, np.concatenate([rho, -rho]), q, primitive)
+
+
 def discrete_energy(sys, profile, exps, quad=None):
-    """E_N = -1/(2N^2) sum psi_r(p_i - p_j) + (1/N) sum (psi_a * omega)(p_i)."""
+    """E_N = -1/(2N^2) sum psi_r(p_i - p_j) + (1/N) sum (psi_a * omega)(p_i).
+
+    The datum term is exact unless ``quad`` is given.
+    """
     p = sys.positions
     N = sys.N
-    if quad is None:
-        quad = MassQuadrature.midpoint(profile, N)
-    y = profile.quantile(quad.nodes)
     rep = np.sum(_row_sums(p, p, None, exps.q_r, _psi))
-    attr = np.sum(_row_sums(p, y, quad.weights, exps.q_a, _psi))
+    attr = np.sum(_datum_sums(p, profile, exps.q_a, quad, _psi, _primitive))
     return float(-rep / (2.0 * N * N) + attr / N)
 
 
@@ -86,15 +114,13 @@ def particle_rhs(sys, profile, exps, quad=None):
     """Scaled steepest descent -N dE_N/dp_i; requires q_r > 1.
 
     At q_r = 1 the repulsion gradient is set-valued whenever particles
-    coincide, so that case is rejected.
+    coincide, so that case is rejected.  The datum term is exact unless
+    ``quad`` is given.
     """
     if exps.q_r == 1.0:
         raise ValueError("particle flow undefined for q_r = 1 (set-valued gradient)")
     p = sys.positions
     N = sys.N
-    if quad is None:
-        quad = MassQuadrature.midpoint(profile, N)
-    y = profile.quantile(quad.nodes)
     rep = _row_sums(p, p, None, exps.q_r, _psi_prime) / N
-    attr = _row_sums(p, y, quad.weights, exps.q_a, _psi_prime)
+    attr = _datum_sums(p, profile, exps.q_a, quad, _psi_prime, _psi)
     return rep - attr

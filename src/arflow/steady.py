@@ -79,7 +79,7 @@ def invert_increasing(f, targets, lo, hi, tol=1e-12, max_expand=200):
     return out
 
 
-def steady_qr1(profile, q_a, n, quad=None):
+def steady_qr1(profile, q_a, n):
     """Steady state for q_r = 1 (unique for q_a > 1; shifted datum for q_a = 1)."""
     m = profile.mass
     z = midpoint_grid(n)
@@ -97,7 +97,7 @@ def steady_qr1(profile, q_a, n, quad=None):
         x_zero = profile.quantile(m / 2.0)
         return SteadyState(InverseCDF(xstar), float(x_lo), float(x_hi),
                            float(x_zero), "qa_eq_1_shift")
-    pot = AttractionPotential(profile, q_a, quad)
+    pot = AttractionPotential(profile, q_a)
     lo, hi = profile.support
     x_lo, x_zero, x_hi = invert_increasing(pot, [-1.0, 0.0, 1.0], lo, hi)
     xstar = invert_increasing(pot, 2.0 * z - 1.0, lo, hi)
@@ -121,7 +121,7 @@ def shifted_profile_mlt1(profile, n):
     return ShiftedProfile(values, escape, (lo, hi))
 
 
-def steady_residual(X, profile, exps, quad=None):
+def steady_residual(X, profile, exps):
     """Sup-norm stationarity defect ||rhs(X)||_inf."""
-    pot = AttractionPotential(profile, exps.q_a, quad)
+    pot = AttractionPotential(profile, exps.q_a)
     return float(np.max(np.abs(rhs(X, pot, exps))))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from arflow import cli
+from arflow import cli, energetics, kernels
 
 
 def write_profile(tmp_path, breakpoints, densities, name="profile.json"):
@@ -194,6 +194,34 @@ class TestOracleCheck:
         assert cli.main(["oracle-check", "--config", str(cfg)]) == 0
         assert "pass" in capsys.readouterr().out
 
+    def test_datum_far_from_origin(self, tmp_path, capsys):
+        # states are drawn around the datum, so the absolute 1e-12 check
+        # does not meet the roundoff of |x - b| ~ 100
+        write_profile(tmp_path, [99.5, 100.5], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 64,
+        })
+        assert cli.main(["oracle-check", "--config", str(cfg)]) == 0
+        assert "pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("module,name", [
+        (kernels, "_exact_U"),
+        # energetics.energy reads psi_a * omega through its own binding
+        (energetics, "_exact_conv"),
+    ])
+    def test_detects_perturbed_exact_datum(self, tmp_path, capsys,
+                                           monkeypatch, module, name):
+        # the check must run the exact datum terms that every command uses
+        exact = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: exact(*args) * (1.0 + 1e-9))
+        write_profile(tmp_path, [0.0, 0.5, 1.5], [1.2, 0.4])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 64,
+        })
+        assert cli.main(["oracle-check", "--config", str(cfg)]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
 
 class TestEnergyAudit:
     def test_closed_form_run(self, tmp_path, capsys):
@@ -242,6 +270,21 @@ class TestEnergyAudit:
                          "--out", str(out)]) == 0
         assert cli.main(["energy-audit", "--out", str(out)]) == 4
         assert "at least two" in capsys.readouterr().err
+        assert not (out / "balance.json").exists()
+
+    @pytest.mark.parametrize("text", ["z,x\n0.5\n", "z,x\n"])
+    def test_corrupt_snapshot_exit_4(self, tmp_path, capsys, text):
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 32,
+            "dt": 0.01, "t_end": 0.02,
+        })
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        (out / "snapshot_0001.csv").write_text(text)
+        assert cli.main(["energy-audit", "--out", str(out)]) == 4
+        assert "snapshot_0001.csv" in capsys.readouterr().err
         assert not (out / "balance.json").exists()
 
     def test_missing_dir_exit_4(self, tmp_path):

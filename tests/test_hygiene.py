@@ -36,3 +36,22 @@ def unused_imports(path):
 def test_no_unused_imports(path):
     # __init__.py is skipped: its imports are the package's re-exports
     assert unused_imports(path) == [], f"unused imports in {path.name}"
+
+
+def midpoint_rule_calls(path):
+    """Lines of ``path`` that call ``MassQuadrature.midpoint``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "midpoint"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "MassQuadrature"]
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_default_quadrature(path):
+    # the datum terms are exact; a quadrature is only ever passed in
+    assert midpoint_rule_calls(path) == [], \
+        f"MassQuadrature.midpoint called in {path.name}"

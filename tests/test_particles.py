@@ -105,6 +105,47 @@ class TestParticleRhs:
         assert v[0] == pytest.approx(-v[1], abs=1e-10)
 
 
+class TestExactOracle:
+    PAIRS = [(1.2, 1.2), (1.7, 1.3), (2.0, 1.5)]
+
+    @pytest.mark.parametrize("name", ["gap_profile", "dense2_profile"])
+    @pytest.mark.parametrize("q_a, q_r", PAIRS)
+    def test_matches_continuum(self, request, rng, name, q_a, q_r):
+        prof = request.getfixturevalue(name)
+        n = 300
+        exps = Exponents(q_a, q_r)
+        pot = AttractionPotential(prof, q_a)
+        for _ in range(3):
+            x = np.sort(prof.com() + rng.uniform(-2.0, 3.0, n))
+            X = InverseCDF(x)
+            sys_ = ParticleSystem(x)
+            assert np.max(np.abs(rhs(X, pot, exps)
+                                 - particle_rhs(sys_, prof, exps))) <= 1e-12
+            assert abs(energy(X, prof, exps)
+                       - discrete_energy(sys_, prof, exps)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["gap_profile", "dense2_profile"])
+    @pytest.mark.parametrize("q_a, q_r", PAIRS)
+    def test_quadrature_converges_to_exact(self, request, rng, name, q_a, q_r):
+        prof = request.getfixturevalue(name)
+        exps = Exponents(q_a, q_r)
+        sys_ = ParticleSystem(np.sort(prof.com() + rng.uniform(-2.0, 3.0, 60)))
+        v = particle_rhs(sys_, prof, exps)
+        e = discrete_energy(sys_, prof, exps)
+        err_v, err_e = [], []
+        for m in (100, 200, 400, 800):
+            quad = MassQuadrature.midpoint(prof, m)
+            err_v.append(np.max(np.abs(
+                particle_rhs(sys_, prof, exps, quad) - v)))
+            err_e.append(abs(discrete_energy(sys_, prof, exps, quad) - e))
+        assert np.min(np.log2(np.divide(err_e[:-1], err_e[1:]))) >= 0.9
+        if q_a == 2.0:
+            # the midpoint rule integrates the linear q_a = 2 drift exactly
+            assert max(err_v) <= 1e-12
+        else:
+            assert np.min(np.log2(np.divide(err_v[:-1], err_v[1:]))) >= 0.9
+
+
 class TestBlockedOracle:
     @pytest.mark.parametrize("q_a, q_r", [(1.3, 1.3), (2.0, 1.3), (2.0, 2.0)])
     def test_matches_literal_dense(self, gap_profile, rng, q_a, q_r):
