@@ -111,14 +111,17 @@ def repulsion_direct(x, q_r):
     RK4 stage states need not be monotone, so the sum runs on a stable sort
     of x and is scattered back.  In sorted order a pair j > i has
     d = x_j - x_i >= 0 and adds psi_r'(d) to node j and -psi_r'(d) to node i.
+    A block's row and column sums are BLAS matvecs with a ones vector.
     """
     order = np.argsort(x, kind="stable")
     xs = x[order]
     n = xs.size
     acc = np.zeros(n)
+    ones = np.ones(n)
     for rows, d in _half_triangle(xs, q_r - 1.0):
-        acc[rows] -= d.sum(axis=1)
-        acc[rows.start:] += d.sum(axis=0)
+        r, c = d.shape
+        acc[rows] -= d @ ones[:c]
+        acc[rows.start:] += ones[:r] @ d
     out = np.empty(n)
     out[order] = q_r * acc / n
     return out

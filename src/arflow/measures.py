@@ -85,6 +85,13 @@ class InverseCDF:
             header = next(csv.reader([fh.readline()]))
             if header[:2] != ["z", "x"]:
                 raise ValueError(f"unexpected CSV header {header!r}")
+            # an empty body would make loadtxt warn "input contained no data"
+            body = fh.tell()
+            while not (line := fh.readline()).partition("#")[0].strip():
+                if not line:
+                    raise ValueError("CSV has no data rows")
+                body = fh.tell()
+            fh.seek(body)
             # numpy's C parser reads the x column in bulk, and in chunks, so
             # it is faster than a csv.reader row per line at no more memory
             xs = np.loadtxt(fh, delimiter=",", usecols=1, ndmin=1)

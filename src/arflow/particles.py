@@ -6,12 +6,15 @@ re-derive the dynamics independently rather than re-simulating them.
 
 They sum full rows, both i < j and j < i, with the per-element formulas
 |d|^q and q sgn(d) |d|^{q-1}: no sorting and no closed forms, so they share
-no summation code with the pair sums in ``kernels``.  The datum term is
-exact: the piecewise-constant datum integrates each formula piece by piece
-through its primitive, with the pieces' two ends as signed sources.  A
-``MassQuadrature``, where a caller passes one, replaces it by a sum over
-the quantile nodes.  The rows are tiled by ``kernels._scratch_blocks``, so
-memory stays under the kernels' cap.
+no summation code with the pair sums in ``kernels``.  They share only the
+differences p_i - y_j (``kernels._differences``, bit for bit the broadcast
+subtraction), and keep ``np.power`` and ``np.sum`` where the kernels use
+exp(p ln d) and BLAS sums, so the two power evaluations stay independent.
+The datum term is exact: the piecewise-constant datum integrates each
+formula piece by piece through its primitive, with the pieces' two ends as
+signed sources.  A ``MassQuadrature``, where a caller passes one, replaces
+it by a sum over the quantile nodes.  The rows are tiled by
+``kernels._scratch_blocks``, so memory stays under the kernels' cap.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _scratch_blocks
+from .kernels import _differences, _scratch_blocks
 
 __all__ = ["ParticleSystem", "discrete_energy", "particle_rhs"]
 
@@ -48,10 +51,10 @@ class ParticleSystem:
 
 def _row_sums(p, y, weights, q, kernel):
     """sum_j weights_j kernel(q, p_i - y_j) for every i, in row blocks."""
+    write = _differences(p, y)
     out = np.empty(p.size)
     for rows, d, tmp in _scratch_blocks(p.size, y.size, temps=2):
-        np.subtract(p[rows, None], y, out=d)
-        kernel(q, d, tmp)
+        kernel(q, write(rows, d), tmp)
         if weights is not None:
             np.multiply(weights, d, out=d)
         np.sum(d, axis=1, out=out[rows])
@@ -65,12 +68,15 @@ def _psi(q, d, tmp):
 
 
 def _psi_prime(q, d, mag):
-    """d <- q sgn(d) |d|^{q-1}, with ``mag`` as scratch."""
+    """d <- q sgn(d) |d|^{q-1} for q > 1, with ``mag`` as scratch.
+
+    Formed as copysign(q |d|^{q-1}, d), equal bit for bit: a zero difference
+    is +0.0, never -0.0, and |0|^{q-1} = 0.
+    """
     np.abs(d, out=mag)
     np.power(mag, q - 1.0, out=mag)
-    np.sign(d, out=d)
-    np.multiply(q, d, out=d)
-    np.multiply(d, mag, out=d)
+    np.multiply(mag, q, out=mag)
+    np.copysign(mag, d, out=d)
 
 
 def _primitive(q, d, mag):

@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from arflow import cli, energetics, kernels
+
+SRC = str(Path(cli.__file__).resolve().parent.parent)
 
 
 def write_profile(tmp_path, breakpoints, densities, name="profile.json"):
@@ -204,6 +212,43 @@ class TestOracleCheck:
         assert cli.main(["oracle-check", "--config", str(cfg)]) == 0
         assert "pass" in capsys.readouterr().out
 
+    def test_fresh_process_skips_numpy_random(self, tmp_path):
+        # the states come from a private splitmix64, so oracle-check pays
+        # for no numpy.random import, and one seed gives one result
+        write_profile(tmp_path, [0.0, 0.5, 1.5], [1.2, 0.4])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 32,
+        })
+        script = ("import sys\n"
+                  "from arflow import cli\n"
+                  f"code = cli.main(['oracle-check', '--config', {str(cfg)!r},"
+                  " '--seed', '7'])\n"
+                  "print('numpy.random' in sys.modules, code)\n")
+        lines = []
+        for _ in range(2):
+            run = subprocess.run([sys.executable, "-c", script],
+                                 capture_output=True, text=True, check=True,
+                                 env=dict(os.environ, PYTHONPATH=SRC))
+            check, loaded = run.stdout.splitlines()
+            assert loaded == "False 0"
+            lines.append(check)
+        assert lines[0] == lines[1]
+        assert "pass" in lines[0]
+
+    def test_splitmix64_reference_outputs(self):
+        # the first outputs of splitmix64 from seed 1234567
+        outputs = [6457827717110365317, 3203168211198807973,
+                   9817491932198370423]
+        draws = cli._SplitMix64(1234567).uniform(0.0, 1.0, 3)
+        assert draws.tolist() == [(z >> 11) * 2.0**-53 for z in outputs]
+
+    def test_splitmix64_continues_the_sequence(self):
+        one = cli._SplitMix64(5)
+        parts = [one.uniform(-2.0, 3.0, 4), one.uniform(-2.0, 3.0, 3)]
+        whole = cli._SplitMix64(5).uniform(-2.0, 3.0, 7)
+        assert np.concatenate(parts).tolist() == whole.tolist()
+        assert np.all((whole >= -2.0) & (whole < 3.0))
+
     @pytest.mark.parametrize("module,name", [
         (kernels, "_exact_U"),
         # energetics.energy reads psi_a * omega through its own binding
@@ -283,8 +328,13 @@ class TestEnergyAudit:
         assert cli.main(["simulate", "--config", str(cfg),
                          "--out", str(out)]) == 0
         (out / "snapshot_0001.csv").write_text(text)
-        assert cli.main(["energy-audit", "--out", str(out)]) == 4
-        assert "snapshot_0001.csv" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["energy-audit", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "snapshot_0001.csv" in err
+        assert "UserWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, UserWarning)]
         assert not (out / "balance.json").exists()
 
     def test_missing_dir_exit_4(self, tmp_path):

@@ -55,3 +55,28 @@ def test_no_default_quadrature(path):
     # the datum terms are exact; a quadrature is only ever passed in
     assert midpoint_rule_calls(path) == [], \
         f"MassQuadrature.midpoint called in {path.name}"
+
+
+def power_calls(tree):
+    """Lines of the ``np.power`` calls under the AST node ``tree``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "power"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")]
+
+
+def test_kernels_use_no_np_power():
+    # the pair sums take exp(p ln d); the particle oracle keeps np.power,
+    # so the oracle check compares two independent power evaluations
+    tree = ast.parse((ROOT / "src" / "arflow" / "kernels.py").read_text())
+    assert power_calls(tree) == []
+
+
+@pytest.mark.parametrize("name", ["_psi", "_psi_prime", "_primitive"])
+def test_particle_oracle_keeps_np_power(name):
+    tree = ast.parse((ROOT / "src" / "arflow" / "particles.py").read_text())
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    assert power_calls(funcs[name]) != [], f"{name} lost its np.power"

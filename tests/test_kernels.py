@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from arflow import (
 )
 from arflow.dynamics import repulsion_direct
 from arflow.energetics import self_energy_constant
+from arflow.kernels import _BLOCK_ELEMS, _differences, _half_triangle, \
+    _pow, _scratch_blocks
 
 
 class TestExponents:
@@ -272,3 +275,96 @@ class TestMemoryCap:
             finally:
                 tracemalloc.stop()
             assert peak < 64 * 2**20, (name, peak)
+
+
+class TestDifferences:
+    """The BLAS difference writer against numpy's broadcast subtraction."""
+
+    @staticmethod
+    def sample(rng, n, offset):
+        x = np.sort(offset + rng.uniform(-1.0, 1.0, n))
+        x[5:9] = x[5]  # ties
+        return x
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, -1e6])
+    def test_rows_minus_columns(self, rng, offset):
+        a = self.sample(rng, 1000, offset)
+        b = np.concatenate([a[::7], self.sample(rng, 37, -offset)])
+        assert a.size % (_BLOCK_ELEMS // b.size) != 0  # a short last block
+        write = _differences(a, b)
+        seen = 0
+        for rows, d in _scratch_blocks(a.size, b.size):
+            write(rows, d)
+            assert d.tobytes() == np.subtract(a[rows, None], b).tobytes()
+            seen += rows.stop - rows.start
+        assert seen == a.size
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, -1e6])
+    def test_columns_minus_rows(self, rng, offset):
+        # the half triangle's x_j - x_i, written as (-x_i) - (-x_j)
+        x = self.sample(rng, 1000, offset)
+        assert x.size % (_BLOCK_ELEMS // x.size) != 0  # a short last block
+        write = _differences(-x, -x)
+        for rows, d in _scratch_blocks(x.size, x.size, upper=True):
+            write(rows, d, rows.start)
+            ref = np.subtract(x[rows.start:], x[rows, None])
+            assert d.tobytes() == ref.tobytes()
+
+    def test_zero_is_positive(self):
+        # the one departure from the subtraction: -0.0 - 0.0 is -0.0
+        a = np.array([-0.0, 0.0, 3.0])
+        b = np.array([0.0, -0.0, 3.0])
+        d = _differences(a, b)(slice(0, 3), np.empty((3, 3)))
+        assert np.all(d[:2, :2] == 0.0)
+        assert not np.any(np.signbit(d[:2, :2]))
+        assert d[2, 2] == 0.0 and not np.signbit(d[2, 2])
+
+
+class TestPow:
+    @pytest.mark.parametrize("p", [0.1, 0.4, 0.9, 1.5, 2.5])
+    def test_against_np_power(self, p):
+        d = np.geomspace(1e-12, 1e6, 20001)
+        ref = np.power(d, p)
+        ulps = np.abs(_pow(d.copy(), p) - ref) / np.spacing(ref)
+        # exp amplifies the rounding of p ln d: 1 ulp per unit of |p ln d|
+        scale = np.abs(p * np.log(d))
+        assert np.all(ulps <= 2.0 * (1.0 + scale))
+        assert np.all(ulps[scale <= 1.0] <= 4.0)
+
+    @pytest.mark.parametrize("p", [0.1, 0.4, 0.9, 1.5, 2.5])
+    def test_zeros(self, p):
+        d = np.array([0.0, 1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="ignore"):
+                out = _pow(d, p)
+        assert out.tolist() == [0.0, 1.0, 0.0]
+
+    def test_ties_raise_no_warning(self, gap_profile):
+        # tied nodes, nodes on a breakpoint and nodes on a quadrature node
+        # take ln 0 inside the sums
+        quad = MassQuadrature.midpoint(gap_profile, 8)
+        x = np.sort(np.concatenate([[-1.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0],
+                                    gap_profile.quantile(quad.nodes[:3])]))
+        X = InverseCDF(x)
+        state = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = repulsion_direct(x, 1.5)
+            u = attraction_U(AttractionPotential(gap_profile, 1.5), x)
+            e = energy(X, gap_profile, Exponents(1.5, 1.5))
+            e_quad = energy(X, gap_profile, Exponents(1.5, 1.5), quad)
+            uq = attraction_U(AttractionPotential(gap_profile, 1.5, quad),
+                              gap_profile.quantile(quad.nodes))
+        assert np.geterr() == state
+        assert np.all(np.isfinite(np.concatenate([v, u, uq, [e, e_quad]])))
+
+    def test_half_triangle_matches_np_power(self, rng):
+        x = np.sort(rng.uniform(-1.0, 4.0, 700))
+        x[100:104] = x[100]
+        d = x[None, :] - x[:, None]
+        ref = np.where(d > 0, np.abs(d) ** 0.4, 0.0)
+        for rows, block in _half_triangle(x, 0.4):
+            expect = ref[rows, rows.start:]
+            assert np.allclose(block, expect, rtol=1e-14, atol=0.0)
+            assert np.array_equal(block == 0.0, expect == 0.0)
