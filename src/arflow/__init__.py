@@ -25,10 +25,7 @@ from .measures import (
     InverseCDF,
     MassQuadrature,
     ReferenceProfile,
-    cdf_eval,
-    convolve_kernel,
     moment,
-    pseudo_inverse_eval,
     sample_profile,
     uniform_state,
     wasserstein,

@@ -64,14 +64,15 @@ class RunConfig:
                 record_every=int(doc.get("record_every", 1)),
             )
             integrator.check_guard(lipschitz_bound(profile, exps.q_a))
+            fit = {key: None if doc.get(key) is None else float(doc[key])
+                   for key in ("t_fit_lo", "t_fit_hi")}
             return cls(
                 profile=profile,
                 exps=exps,
-                initial=doc.get("initial", {"kind": "profile"}),
+                initial=_checked_initial(doc.get("initial", {})),
                 n=n,
                 integrator=integrator,
-                t_fit_lo=doc.get("t_fit_lo"),
-                t_fit_hi=doc.get("t_fit_hi"),
+                **fit,
             )
         except ConfigError:
             raise
@@ -80,15 +81,34 @@ class RunConfig:
 
     def initial_state(self):
         kind = self.initial.get("kind", "profile")
-        if kind == "profile":
-            return sample_profile(self.profile, self.n)
         if kind == "uniform":
             return uniform_state(
                 float(self.initial["a"]), float(self.initial["b"]), self.n
             )
         if kind == "csv":
-            return InverseCDF.from_csv(self.initial["path"])
+            return _read_state(self.initial["path"])
+        return sample_profile(self.profile, self.n)
+
+
+def _checked_initial(initial):
+    """``initial`` as given, once ``RunConfig.initial_state`` can build it.
+
+    Only an unreadable or corrupt CSV file is left to fail there (exit 4).
+    """
+    if not isinstance(initial, dict):
+        raise ConfigError(f"initial must be an object, got {initial!r}")
+    kind = initial.get("kind", "profile")
+    if kind == "uniform":
+        a, b = float(initial["a"]), float(initial["b"])
+        if not (np.isfinite(a) and np.isfinite(b) and a < b):
+            raise ConfigError(f"uniform initial needs finite a < b, "
+                              f"got a={a}, b={b}")
+    elif kind == "csv":
+        if not isinstance(initial.get("path"), str):
+            raise ConfigError("csv initial needs a string path")
+    elif kind != "profile":
         raise ConfigError(f"unknown initial condition kind {kind!r}")
+    return initial
 
 
 def fit_exponential_rate(t, y, t_lo, t_hi, floor=1e-300):
@@ -115,9 +135,9 @@ def _write_json(path, doc):
 
 def cmd_simulate(config_path, out_dir):
     cfg = RunConfig.load(config_path)
+    X0 = cfg.initial_state()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    X0 = cfg.initial_state()
 
     reports = []
 
@@ -262,12 +282,12 @@ def cmd_oracle_check(config_path, seed=0, cases=10):
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _read_snapshot(path):
-    """A trajectory snapshot; a corrupt one is an i/o failure (exit 4)."""
+def _read_state(path):
+    """A state CSV; a corrupt one is an i/o failure (exit 4)."""
     try:
         return InverseCDF.from_csv(path)
     except ValueError as exc:
-        raise OSError(f"corrupt snapshot {path}: {exc}") from exc
+        raise OSError(f"corrupt state CSV {path}: {exc}") from exc
 
 
 def cmd_energy_audit(traj_dir):
@@ -295,7 +315,7 @@ def cmd_energy_audit(traj_dir):
             f"the energy balance needs at least two"
         )
     reports = [
-        energetics.make_report(t, _read_snapshot(traj_dir / name),
+        energetics.make_report(t, _read_state(traj_dir / name),
                                profile, exps)
         for t, name in snapshots
     ]

@@ -1,15 +1,15 @@
 """Energy, dissipation, the Fourier-side energy, and moment certificates.
 
 Every datum term is exact for the piecewise-constant datum unless a caller
-passes a ``MassQuadrature``: the attraction term is the mean of
-psi_a * omega over the state's nodes, the drift is exact, the datum's self
-term is a double sum over its breakpoints, and its transform omega_hat is a
-sum over its pieces.  The repulsion term is a midpoint double sum in mass
-coordinates, taken on the sorted state through the pair-sum helpers of
-``kernels``.  The Fourier form evaluates the same quadratic energy through
-characteristic functions, on Gauss-Legendre panels uniform in ln xi, with
-an error bound that holds the truncated head and tail and the rule's own
-error.  The moment certificates turn the a-priori bounds on energy
+passes a ``MassQuadrature``.  The attraction term is the mean of
+psi_a * omega over the state's nodes and the datum's self term a double sum
+over its signed atoms, both from the datum sums of ``kernels``; its
+transform omega_hat is a sum over its pieces.  The repulsion term is a
+midpoint double sum in mass coordinates, taken on the sorted state through
+the pair-sum helpers of ``kernels``.  The Fourier form evaluates the same
+quadratic energy through characteristic functions, on Gauss-Legendre
+panels uniform in ln xi, with an error bound that holds the truncated head
+and tail and the rule's own error.  The moment certificates turn the a-priori bounds on energy
 sublevels into checkable per-snapshot inequalities.
 """
 
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import rhs
-from .kernels import AttractionPotential, _cross_sum, _density_jumps, \
-    _exact_conv, _pair_sum, _scratch_blocks
+from .kernels import AttractionPotential, _datum_atoms, _datum_conv, \
+    _level_factor, _pair_sum, _scratch_blocks
 from .measures import moment
 
 __all__ = [
@@ -55,7 +55,6 @@ class EnergyReport:
     t: float
     E: float
     D: float
-    E_hat: float | None
     moment_qa: float
     moment_r: float
 
@@ -81,6 +80,9 @@ class XiGrid:
         return _XI_PANELS * (_XI_ORDER + _XI_CHECK_ORDER)
 
 
+_XI_GRID = XiGrid()
+
+
 @dataclass(frozen=True)
 class FourierEnergy:
     value: float
@@ -104,13 +106,8 @@ def _moment_order(q):
 def energy(X, profile, exps, quad=None):
     """Interaction energy; the datum term is exact unless ``quad`` is given."""
     x = X.x_values
-    w_mu = np.full(X.n, 1.0 / X.n)
-    if quad is None:
-        attr = float(np.mean(_exact_conv(profile, exps.q_a, x)))
-    else:
-        y = profile.quantile(quad.nodes)
-        attr = _cross_sum(x, w_mu, y, quad.weights, exps.q_a)
-    return attr - 0.5 * _pair_sum(x, w_mu, exps.q_r)
+    attr = float(np.mean(_datum_conv(profile, exps.q_a, x, quad)))
+    return attr - 0.5 * _pair_sum(x, np.full(X.n, 1.0 / X.n), exps.q_r)
 
 
 def dissipation(X, profile, exps, quad=None):
@@ -135,15 +132,11 @@ def energy_balance(reports):
     return float(abs(e[0] - e[-1] - _trapezoid(d, t)))
 
 
-def make_report(t, X, profile, exps, quad=None, with_fourier=False, xi_grid=None):
-    e_hat = None
-    if with_fourier:
-        e_hat = fourier_energy(X, profile, exps.q_a, xi_grid, quad=quad).value
+def make_report(t, X, profile, exps, quad=None):
     return EnergyReport(
         t=float(t),
         E=energy(X, profile, exps, quad),
         D=dissipation(X, profile, exps, quad),
-        E_hat=e_hat,
         moment_qa=moment(X, exps.q_a),
         moment_r=moment(X, _moment_order(exps.q_a)),
     )
@@ -152,11 +145,10 @@ def make_report(t, X, profile, exps, quad=None, with_fourier=False, xi_grid=None
 def reports_to_csv(reports, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "E", "D", "E_hat", "moment_qa", "moment_r"])
+        writer.writerow(["t", "E", "D", "moment_qa", "moment_r"])
         for r in reports:
-            e_hat = "" if r.E_hat is None else f"{r.E_hat:.17g}"
             writer.writerow(
-                [f"{r.t:.17g}", f"{r.E:.17g}", f"{r.D:.17g}", e_hat,
+                [f"{r.t:.17g}", f"{r.E:.17g}", f"{r.D:.17g}",
                  f"{r.moment_qa:.17g}", f"{r.moment_r:.17g}"]
             )
 
@@ -194,8 +186,8 @@ def _datum_transform(profile, quad=None, shift=0.0):
     cancel at small xi as the breakpoint (jump) form does.
     """
     if quad is not None:
-        y = profile.quantile(quad.nodes) - shift
-        w = quad.weights
+        y, w, _ = _datum_atoms(profile, quad)
+        y = y - shift
         return ((lambda xi: _char_fn(y, w, xi)),
                 tuple(float(w @ y**k) for k in (1, 2, 3)))
     b = profile.breakpoints
@@ -226,14 +218,12 @@ def _datum_transform(profile, quad=None, shift=0.0):
 def _omega_pair_sum(profile, q, quad=None):
     """Double integral of |x - y|^q against the datum twice.
 
-    Exact unless ``quad`` is given: -sum_ij J_i J_j G(b_i - b_j) over the
-    breakpoints b, with J_j the density jump at b_j and
-    G(u) = |u|^{q+2} / ((q+1)(q+2)) the second primitive of |u|^q.
+    Over the datum's atoms (y, c, k) it is (-1)^k sum_ij c_i c_j G(y_i - y_j),
+    with G the 2k-th primitive of |u|^q: integration by parts in both
+    variables.  Exact unless ``quad`` is given.
     """
-    if quad is not None:
-        return _pair_sum(profile.quantile(quad.nodes), quad.weights, q)
-    return -_pair_sum(profile.breakpoints, _density_jumps(profile),
-                      q + 2.0) / ((q + 1.0) * (q + 2.0))
+    y, c, k = _datum_atoms(profile, quad)
+    return (-1) ** k * _level_factor(q, 2 * k) * _pair_sum(y, c, q + 2 * k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,21 +232,21 @@ def _gauss_legendre(order):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _panel_rule(xi_grid, order):
+def _panel_rule(order):
     """Nodes and weights, (panels, order), of Gauss-Legendre on each panel.
 
     The panels are uniform in s = ln xi, and dxi = xi ds goes into the
     weights.
     """
     t, w = _gauss_legendre(order)
-    edges = np.linspace(math.log(xi_grid.xi_min), math.log(xi_grid.xi_max),
+    edges = np.linspace(math.log(_XI_GRID.xi_min), math.log(_XI_GRID.xi_max),
                         _XI_PANELS + 1)
     half = 0.5 * (edges[1] - edges[0])
     xi = np.exp(edges[:-1, None] + half * (1.0 + t))
     return xi, half * w * xi
 
 
-def _xi_integral(char_diff, moments, q, xi_grid):
+def _xi_integral(char_diff, moments, q):
     """2 int_0^inf |char_diff(xi)|^2 xi^{-1-q} dxi, and an error bound.
 
     ``char_diff`` is the transform of a zero-mass signed measure whose first
@@ -267,8 +257,8 @@ def _xi_integral(char_diff, moments, q, xi_grid):
     tail beyond xi_max (where |char_diff| <= 2), and, panel by panel, the
     difference between the rule and the lower-order check rule.
     """
-    xi_hi, w_hi = _panel_rule(xi_grid, _XI_ORDER)
-    xi_lo, w_lo = _panel_rule(xi_grid, _XI_CHECK_ORDER)
+    xi_hi, w_hi = _panel_rule(_XI_ORDER)
+    xi_lo, w_lo = _panel_rule(_XI_CHECK_ORDER)
     xi = np.concatenate([xi_hi.ravel(), xi_lo.ravel()])
     diff = char_diff(xi)
     f = (diff.real**2 + diff.imag**2) * xi ** (-1.0 - q)
@@ -277,10 +267,10 @@ def _xi_integral(char_diff, moments, q, xi_grid):
     rule_err = float(np.sum(np.abs(panel_hi - panel_lo)))
 
     d1, d2, d3 = moments
-    head = d1 * d1 * xi_grid.xi_min ** (2.0 - q) / (2.0 - q)
+    head = d1 * d1 * _XI_GRID.xi_min ** (2.0 - q) / (2.0 - q)
     head_rem = ((d2 * d2 / 4.0 + abs(d1 * d3) / 3.0)
-                * xi_grid.xi_min ** (4.0 - q) / (4.0 - q))
-    tail = (4.0 / q) * xi_grid.xi_max ** (-q)
+                * _XI_GRID.xi_min ** (4.0 - q) / (4.0 - q))
+    tail = (4.0 / q) * _XI_GRID.xi_max ** (-q)
     body = float(np.sum(panel_hi))
     return 2.0 * (body + head), 2.0 * (head_rem + tail + rule_err)
 
@@ -291,18 +281,13 @@ def tilde_energy(X, profile, q, quad=None):
     The datum terms are exact unless ``quad`` is given.
     """
     x = X.x_values
-    w_mu = np.full(X.n, 1.0 / X.n)
-    s_mm = _pair_sum(x, w_mu, q)
-    if quad is None:
-        s_mo = float(np.mean(_exact_conv(profile, q, x)))
-    else:
-        y = profile.quantile(quad.nodes)
-        s_mo = _cross_sum(x, w_mu, y, quad.weights, q)
+    s_mm = _pair_sum(x, np.full(X.n, 1.0 / X.n), q)
+    s_mo = float(np.mean(_datum_conv(profile, q, x, quad)))
     s_oo = _omega_pair_sum(profile, q, quad)
     return -0.5 * (s_mm - 2.0 * s_mo + s_oo)
 
 
-def fourier_energy(X, profile, q, xi_grid=None, quad=None):
+def fourier_energy(X, profile, q, quad=None):
     """D_q integral of |mu_hat - omega_hat|^2 |xi|^{-1-q} over the line.
 
     Valid in the balanced regime with unit-mass datum (the difference of the
@@ -315,15 +300,13 @@ def fourier_energy(X, profile, q, xi_grid=None, quad=None):
         raise ValueError("fourier energy requires q in (1, 2)")
     if abs(profile.mass - 1.0) > 1e-12:
         raise ValueError("fourier energy requires a unit-mass datum")
-    if xi_grid is None:
-        xi_grid = XiGrid()
     shift = profile.com()
     x = X.x_values - shift
     w_mu = np.full(X.n, 1.0 / X.n)
     omega_hat, m_omega = _datum_transform(profile, quad, shift)
     moments = [float(np.mean(x**k)) - m for k, m in zip((1, 2, 3), m_omega)]
     value, bound = _xi_integral(
-        lambda xi: _char_fn(x, w_mu, xi) - omega_hat(xi), moments, q, xi_grid)
+        lambda xi: _char_fn(x, w_mu, xi) - omega_hat(xi), moments, q)
     dq = dq_constant(q)
     return FourierEnergy(dq * value, dq * bound)
 
@@ -339,7 +322,7 @@ def self_energy_constant(profile, q, quad=None):
 # -- moment certificates -------------------------------------------------
 
 
-def moment_certificate(reports, exps, profile, xi_grid=None, quad=None):
+def moment_certificate(reports, exps, profile, quad=None):
     """Check every snapshot's moment against the a-priori sublevel bound.
 
     Attraction-dominated: the q_a-th moment is bounded by
@@ -363,11 +346,9 @@ def moment_certificate(reports, exps, profile, xi_grid=None, quad=None):
     r = _moment_order(q)
     if abs(profile.mass - 1.0) > 1e-12:
         raise ValueError("balanced certificate requires a unit-mass datum")
-    if xi_grid is None:
-        xi_grid = XiGrid()
     # energy sublevel in the completed-square form
     level = e0 - self_energy_constant(profile, q, quad)
-    t_omega = _omega_vs_point_mass(profile, q, xi_grid, quad)
+    t_omega = _omega_vs_point_mass(profile, q, quad)
     m2 = 2.0 * (level / dq_constant(q) + t_omega)
     bound = 2.0 * dq_constant(r, d=1) * (
         math.sqrt(2.0 / (q - 2.0 * r)) * math.sqrt(max(m2, 0.0)) + 4.0 / r
@@ -376,10 +357,10 @@ def moment_certificate(reports, exps, profile, xi_grid=None, quad=None):
     return CertificateResult(observed <= bound, bound, observed, "balanced", r)
 
 
-def _omega_vs_point_mass(profile, q, xi_grid, quad=None):
+def _omega_vs_point_mass(profile, q, quad=None):
     # integral of |1 - omega_hat|^2 |xi|^{-1-q} plus its error bound, an upper
     # estimate that keeps the certificate a valid bound
     omega_hat, moments = _datum_transform(profile, quad)
     value, bound = _xi_integral(lambda xi: 1.0 - omega_hat(xi),
-                                [-m for m in moments], q, xi_grid)
+                                [-m for m in moments], q)
     return value + bound

@@ -1,10 +1,14 @@
 """Power kernels |x|^q, their derivatives, and the attraction potential.
 
 The drift generated by the datum is U = psi_a' * omega, which is Lipschitz;
-its constant doubles as the step-size guard for the integrator.  The datum
-is piecewise constant, so U and psi_a * omega are exact sums over its K + 1
-breakpoints; a ``MassQuadrature`` replaces them only where a caller passes
-one, as the particle oracle's reference.
+its constant doubles as the step-size guard for the integrator.  Every datum
+term goes through one sum over the datum's signed atoms (``_datum_atoms``):
+the breakpoints with their density jumps, exact for the piecewise-constant
+datum, or the nodes and weights of a ``MassQuadrature`` where a caller
+passes one, as the particle oracle's reference.  ``_datum_sum`` takes the
+primitive of |d|^q that the atoms need, so U, psi_a * omega and the datum's
+self term are each one level of it.  Only q_a = 1 (U = 2G - m) and the exact
+datum at q = 2 keep O(n) closed forms.
 
 Pair sums over quantile samples use their order: at q = 1 and q = 2 they
 have O(n) closed forms, and otherwise each pair is visited once.  Every
@@ -19,6 +23,7 @@ compares two independent power evaluations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,82 +155,70 @@ def _pair_sum(x, w, q):
     return float(2.0 * out)
 
 
-def _cross_sum(x, v, y, w, q):
-    """sum_ij v_i w_j |x_i - y_j|^q for nondecreasing y and any x."""
-    total = np.sum(w)
-    y_bar = (w @ y) / total
-    x = x - y_bar
-    y = y - y_bar
-    if q == 2.0:
-        return float(total * (v @ (x * x)) + np.sum(v) * (w @ (y * y)))
-    if q == 1.0:
-        # sum_j w_j |x_i - y_j| = x_i (2 C_k - W) + S_K - 2 S_k with C, S the
-        # prefix sums of w and w y over the k nodes below x_i
-        cum_w = np.concatenate([[0.0], np.cumsum(w)])
-        cum_wy = np.concatenate([[0.0], np.cumsum(w * y)])
-        k = np.searchsorted(y, x)
-        per_x = x * (2.0 * cum_w[k] - cum_w[-1]) + cum_wy[-1] - 2.0 * cum_wy[k]
-        return float(v @ per_x)
-    write = _differences(x, y)
-    out = 0.0
-    with np.errstate(divide="ignore"):  # a tie takes ln 0
-        for rows, d in _scratch_blocks(x.size, y.size):
-            np.abs(write(rows, d), out=d)
-            _pow(d, q)
-            out += v[rows] @ d @ w
-    return float(out)
+def _datum_atoms(profile, quad=None):
+    """The datum as signed atoms ``(y, c, k)``: nodes, weights, and order.
 
-
-def _density_jumps(profile):
-    """rho_j - rho_{j-1} at each breakpoint b_j, with rho = 0 off the support."""
-    return np.diff(np.concatenate([[0.0], profile.densities, [0.0]]))
-
-
-def _exact_sum(profile, x, kernel):
-    """sum_k rho_k (kernel(x - b_k) - kernel(x - b_{k+1})) per x.
-
-    Summed by breakpoint: b_j carries the density jump rho_j - rho_{j-1}.
-    ``kernel(d, tmp)`` overwrites the block d = x - b with its values and may
-    use ``tmp``, a scratch block of the same shape.
+    An integral of K against omega is sum_j c_j K^{(-k)}(x - y_j), with
+    K^{(-k)} the k-th primitive of K.  A ``quad`` gives its nodes Y(zeta_j)
+    and weights, k = 0.  Without one the atoms are the breakpoints b_j with
+    the density jumps rho_j - rho_{j-1} (rho = 0 off the support), k = 1:
+    integration by parts on each piece, exact.
     """
-    b = profile.breakpoints
-    jumps = _density_jumps(profile)
+    if quad is None:
+        jumps = np.diff(np.concatenate([[0.0], profile.densities, [0.0]]))
+        return profile.breakpoints, jumps, 1
+    y = np.asarray(profile.quantile(quad.nodes), dtype=float)
+    y.setflags(write=False)
+    return y, quad.weights, 0
+
+
+def _level_factor(q, level):
+    """Constant of the level-th primitive of |d|^q, and q at level -1."""
+    if level < 0:
+        return q
+    return 1.0 / math.prod(q + j for j in range(1, level + 1))
+
+
+def _datum_sum(x, q, atoms, level):
+    """sum_j c_j K(x - y_j) per x, over the atoms of ``_datum_atoms``.
+
+    K is the (level + k)-th primitive of |d|^q, level >= -1: q sgn(d)
+    |d|^{q-1} at -1, and sgn(d)^l |d|^{q+l} / ((q+1)...(q+l)) at l >= 0.
+    So level -1 is psi_q' * omega and level 0 is psi_q * omega.  The power
+    q + level + k must be positive.  Even levels take |d| in place; odd
+    ones need a second block for the sign.
+    """
+    y, c, k = atoms
+    level += k
+    odd = level % 2
     flat = np.ravel(x)
-    write = _differences(flat, b)
+    write = _differences(flat, y)
     out = np.empty(flat.size)
-    with np.errstate(divide="ignore"):  # x on a breakpoint takes ln 0
-        for rows, d, tmp in _scratch_blocks(flat.size, b.size, temps=2):
-            kernel(write(rows, d), tmp)
-            np.matmul(d, jumps, out=out[rows])
-    return out.reshape(np.shape(x))
+    with np.errstate(divide="ignore"):  # x on a node takes ln 0
+        for rows, d, *mag in _scratch_blocks(flat.size, y.size,
+                                             temps=1 + odd):
+            write(rows, d)
+            if odd:
+                _pow(np.abs(d, out=mag[0]), q + level)
+                np.copysign(mag[0], d, out=d)
+            else:
+                _pow(np.abs(d, out=d), q + level)
+            np.matmul(d, c, out=out[rows])
+    return _level_factor(q, level) * out.reshape(np.shape(x))
 
 
-def _exact_U(profile, q, x):
-    """psi_q' * omega at x, exactly: sum_k rho_k (|x-b_k|^q - |x-b_{k+1}|^q)."""
-    if q == 2.0:
-        return 2.0 * profile.mass * (x - profile.com())
+def _datum_conv(profile, q, x, quad=None):
+    """psi_q * omega at x: level 0 of the datum sum.
 
-    def kernel(d, tmp):
-        _pow(np.abs(d, out=d), q)
-
-    return _exact_sum(profile, x, kernel)
-
-
-def _exact_conv(profile, q, x):
-    """psi_q * omega at x, exactly, with primitive sgn(u)|u|^{q+1}/(q+1)."""
-    if q == 2.0:
-        # m (x - com)^2 plus the centred second moment of omega, by pieces
+    The exact datum at q = 2 takes m (x - com)^2 plus omega's centred
+    second moment, by pieces, in O(n).
+    """
+    if quad is None and q == 2.0:
         com = profile.com()
         b = profile.breakpoints - com
         spread = profile.densities @ (b[1:] ** 3 - b[:-1] ** 3) / 3.0
         return profile.mass * (x - com) ** 2 + spread
-
-    def kernel(d, mag):
-        _pow(np.abs(d, out=mag), q + 1.0)
-        np.copysign(mag, d, out=d)
-        np.divide(d, q + 1.0, out=d)
-
-    return _exact_sum(profile, x, kernel)
+    return _datum_sum(x, q, _datum_atoms(profile, quad), 0)
 
 
 @dataclass(frozen=True)
@@ -288,10 +281,10 @@ def psi_double_prime(q, x):
 class AttractionPotential:
     """Drift U = psi_a' * omega with its Lipschitz constant.
 
-    Without ``quad`` U is exact for the piecewise-constant datum, and
-    ``y_nodes`` holds the datum's breakpoints.  With ``quad`` U is the
-    quadrature over the nodes ``y_nodes = Y(quad.nodes)``, the particle
-    oracle's reference.  For q_a = 1 both use the exact CDF form U = 2G - m.
+    ``y_nodes`` holds the nodes of the datum's atoms: its breakpoints
+    without ``quad``, where U is exact, and Y(quad.nodes) with it, the
+    particle oracle's reference.  For q_a = 1 both use the exact CDF form
+    U = 2G - m.
     """
 
     profile: object
@@ -302,12 +295,9 @@ class AttractionPotential:
 
     def __post_init__(self):
         _check_q(self.q_a)
-        if self.quad is None:
-            y = self.profile.breakpoints
-        else:
-            y = np.asarray(self.profile.quantile(self.quad.nodes), dtype=float)
-            y.setflags(write=False)
-        object.__setattr__(self, "y_nodes", y)
+        atoms = _datum_atoms(self.profile, self.quad)
+        object.__setattr__(self, "_atoms", atoms)
+        object.__setattr__(self, "y_nodes", atoms[0])
         object.__setattr__(self, "lam", lipschitz_bound(self.profile, self.q_a))
 
     def __call__(self, x):
@@ -328,26 +318,12 @@ def lipschitz_bound(profile, q_a):
 def attraction_U(pot, x):
     """Evaluate U at x (scalar or array)."""
     x = np.asarray(x, dtype=float)
-    q_a = pot.q_a
-    if q_a == 1.0:
-        out = 2.0 * np.asarray(pot.profile.cdf(x)) - pot.profile.mass
-    elif pot.quad is None:
-        out = _exact_U(pot.profile, q_a, x)
-    elif q_a == 2.0:
-        # quadrature of 2(x - y) collapses to an affine function
-        wy = np.dot(pot.quad.weights, pot.y_nodes)
-        out = 2.0 * (pot.quad.total * x - wy)
+    profile = pot.profile
+    if pot.q_a == 1.0:
+        out = 2.0 * np.asarray(profile.cdf(x)) - profile.mass
+    elif pot.q_a == 2.0 and pot.quad is None:
+        out = 2.0 * profile.mass * (x - profile.com())
     else:
-        flat = x.ravel()
-        out = np.empty(flat.size)
-        y = pot.y_nodes
-        write = _differences(flat, y)
-        with np.errstate(divide="ignore"):  # x on a node takes ln 0
-            for rows, d, mag in _scratch_blocks(flat.size, y.size, temps=2):
-                write(rows, d)
-                _pow(np.abs(d, out=mag), q_a - 1.0)
-                np.copysign(mag, d, out=mag)
-                np.matmul(mag, pot.quad.weights, out=out[rows])
-        out = q_a * out.reshape(x.shape)
+        out = _datum_sum(x, pot.q_a, pot._atoms, -1)
     out = np.asarray(out)
     return out if out.ndim else float(out)

@@ -17,11 +17,8 @@ __all__ = [
     "InverseCDF",
     "ReferenceProfile",
     "MassQuadrature",
-    "cdf_eval",
-    "pseudo_inverse_eval",
     "wasserstein",
     "moment",
-    "convolve_kernel",
     "sample_profile",
     "uniform_state",
 ]
@@ -242,14 +239,6 @@ class MassQuadrature:
 # -- operations ----------------------------------------------------------
 
 
-def cdf_eval(profile, x):
-    return profile.cdf(x)
-
-
-def pseudo_inverse_eval(profile, zeta):
-    return profile.quantile(zeta)
-
-
 def wasserstein(a, b, p):
     """W_p between two same-grid states as the L^p norm of X_a - X_b.
 
@@ -270,14 +259,6 @@ def moment(a, r):
     if r <= 0:
         raise ValueError("r must be positive")
     return float(np.mean(np.abs(a.x_values) ** r))
-
-
-def convolve_kernel(profile, quad, g, x):
-    """Quadrature of (g * omega)(x) = integral of g(x - Y(zeta)) over (0, m)."""
-    y = profile.quantile(quad.nodes)
-    x = np.asarray(x, dtype=float)
-    vals = np.sum(quad.weights * g(x[..., None] - y), axis=-1)
-    return vals if vals.ndim else float(vals)
 
 
 # -- state constructors --------------------------------------------------

@@ -4,6 +4,18 @@ import pytest
 from arflow import ReferenceProfile
 
 
+def convolve_kernel(profile, quad, g, x):
+    """Quadrature of (g * omega)(x) = integral of g(x - Y(zeta)) over (0, m).
+
+    The tests' dense quadrature reference: one broadcast over the quantile
+    nodes, with no blocking and no primitives.
+    """
+    y = profile.quantile(quad.nodes)
+    x = np.asarray(x, dtype=float)
+    vals = np.sum(quad.weights * g(x[..., None] - y), axis=-1)
+    return vals if vals.ndim else float(vals)
+
+
 @pytest.fixture
 def uniform_profile():
     """Density 1 on [0, 1], mass 1."""

@@ -250,9 +250,9 @@ class TestOracleCheck:
         assert np.all((whole >= -2.0) & (whole < 3.0))
 
     @pytest.mark.parametrize("module,name", [
-        (kernels, "_exact_U"),
+        (kernels, "_datum_sum"),
         # energetics.energy reads psi_a * omega through its own binding
-        (energetics, "_exact_conv"),
+        (energetics, "_datum_conv"),
     ])
     def test_detects_perturbed_exact_datum(self, tmp_path, capsys,
                                            monkeypatch, module, name):
@@ -357,6 +357,43 @@ class TestInitialKinds:
         out = tmp_path / "run"
         assert cli.main(["simulate", "--config", str(cfg),
                         "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("doc", [
+        {"initial": {"kind": "uniform", "b": 1}},
+        {"initial": {"kind": "uniform", "a": 1.0, "b": 1.0}},
+        {"initial": {"kind": "csv"}},
+        {"initial": ["uniform", 0.0, 1.0]},
+        {"t_fit_lo": "x"},
+    ], ids=["uniform-no-a", "uniform-a-eq-b", "csv-no-path", "not-object",
+            "t-fit-not-number"])
+    def test_malformed_exit_2_before_output(self, tmp_path, capsys, doc):
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 32,
+            "dt": 0.01, "t_end": 0.1, **doc,
+        })
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [None, "z,x\n"],
+                             ids=["missing", "corrupt"])
+    def test_bad_csv_exit_4_before_output(self, tmp_path, text):
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        state_path = tmp_path / "x0.csv"
+        if text is not None:
+            state_path.write_text(text)
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 32,
+            "dt": 0.01, "t_end": 0.1,
+            "initial": {"kind": "csv", "path": str(state_path)},
+        })
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 4
+        assert not out.exists()
 
     def test_unknown_kind(self, tmp_path):
         write_profile(tmp_path, [0.0, 1.0], [1.0])

@@ -320,7 +320,7 @@ class TestReportCsv:
         path = tmp_path / "energy.csv"
         reports_to_csv(reps, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "t,E,D,E_hat,moment_qa,moment_r"
+        assert lines[0] == "t,E,D,moment_qa,moment_r"
         assert len(lines) == 3
         assert "\r" not in path.read_text()
 

@@ -80,3 +80,26 @@ def test_particle_oracle_keeps_np_power(name):
     funcs = {node.name: node for node in tree.body
              if isinstance(node, ast.FunctionDef)}
     assert power_calls(funcs[name]) != [], f"{name} lost its np.power"
+
+
+def quad_node_reads(path):
+    """Enclosing function of each ``quad.nodes`` or ``obj.quad.nodes`` read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            reads += [func.name for node in ast.walk(func)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "nodes"
+                      and "quad" in (getattr(node.value, "id", None),
+                                     getattr(node.value, "attr", None))]
+    return reads
+
+
+def test_quadrature_nodes_read_in_two_places():
+    # every datum term takes its atoms from kernels._datum_atoms; only the
+    # independent particle oracle maps the quadrature's nodes on its own
+    reads = {(path.stem, name) for path in MODULES
+             for name in quad_node_reads(path)}
+    assert reads == {("kernels", "_datum_atoms"),
+                     ("particles", "_datum_sums")}

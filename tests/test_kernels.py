@@ -22,8 +22,8 @@ from arflow import (
 )
 from arflow.dynamics import repulsion_direct
 from arflow.energetics import self_energy_constant
-from arflow.kernels import _BLOCK_ELEMS, _differences, _half_triangle, \
-    _pow, _scratch_blocks
+from arflow.kernels import _BLOCK_ELEMS, _datum_atoms, _datum_sum, \
+    _differences, _half_triangle, _pow, _scratch_blocks
 
 
 class TestExponents:
@@ -173,11 +173,11 @@ class TestExactDatumIntegrals:
         ]
         assert np.all(self.orders(errs) >= 0.9), (errs, self.orders(errs))
 
-    @pytest.mark.parametrize("q_a", [1.2, 1.5, 1.8, 2.0])
+    @pytest.mark.parametrize("q_a", [1.2, 1.5, 1.8, 2.0, 1.0])
     def test_energy_order_against_quadrature(self, q_a):
         X = InverseCDF(np.concatenate([np.linspace(-2.0, -0.5, 32),
                                        np.linspace(1.1, 1.4, 32)]))
-        exps = Exponents(q_a, 1.1)
+        exps = Exponents(q_a, min(q_a, 1.1))
         exact = energy(X, self.GAP, exps)
         errs = [
             abs(energy(X, self.GAP, exps,
@@ -212,6 +212,47 @@ class TestExactDatumIntegrals:
         assert pot.quad is None
         assert np.array_equal(pot.y_nodes, self.GAP.breakpoints)
         assert not pot.y_nodes.flags.writeable
+
+
+class TestDatumSum:
+    """Each level of the datum sum against a dense np.power reference."""
+
+    # the (level)-th primitive of |d|^q, and q sgn(d) |d|^{q-1} at -1
+    KERNELS = {
+        -1: lambda d, q: q * np.sign(d) * np.abs(d) ** (q - 1.0),
+        0: lambda d, q: np.abs(d) ** q,
+        1: lambda d, q: np.sign(d) * np.abs(d) ** (q + 1.0) / (q + 1.0),
+        2: lambda d, q: np.abs(d) ** (q + 2.0) / ((q + 1.0) * (q + 2.0)),
+        3: lambda d, q: (np.sign(d) * np.abs(d) ** (q + 3.0)
+                         / ((q + 1.0) * (q + 2.0) * (q + 3.0))),
+    }
+
+    @pytest.mark.parametrize("level", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("exact", [True, False],
+                             ids=["breakpoints", "quadrature"])
+    @pytest.mark.parametrize("q", [1.3, 1.5, 2.0])
+    def test_matches_dense_reference(self, gap_profile, rng, q, exact,
+                                     level):
+        quad = None if exact else MassQuadrature.midpoint(gap_profile, 300)
+        y, c, k = _datum_atoms(gap_profile, quad)
+        # the state meets every atom node in a tie, and far from the datum
+        x = np.concatenate([rng.uniform(-2.0, 5.0, 700), y[::7], [1e3]])
+        terms = self.KERNELS[level + k](x[:, None] - y, q) * c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _datum_sum(x, q, (y, c, k), level)
+        scale = np.sum(np.abs(terms), axis=1)
+        assert np.all(np.abs(got - np.sum(terms, axis=1)) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_level_is_primitive_of_the_one_below(self, gap_profile, level):
+        atoms = _datum_atoms(gap_profile)
+        x = np.array([-1.5, 0.5, 1.5, 2.5, 4.0])
+        h = 1e-5
+        fd = (_datum_sum(x + h, 1.5, atoms, level)
+              - _datum_sum(x - h, 1.5, atoms, level)) / (2.0 * h)
+        assert np.allclose(fd, _datum_sum(x, 1.5, atoms, level - 1),
+                           rtol=1e-8, atol=1e-8)
 
 
 class TestMemoryCap:

@@ -9,57 +9,55 @@ from arflow import (
     InverseCDF,
     MassQuadrature,
     ReferenceProfile,
-    cdf_eval,
-    convolve_kernel,
     moment,
-    pseudo_inverse_eval,
     sample_profile,
     uniform_state,
     wasserstein,
 )
 from arflow.measures import midpoint_grid
+from conftest import convolve_kernel
 
 
 class TestCdfEval:
     def test_uniform_midpoint(self, uniform_profile):
-        assert cdf_eval(uniform_profile, 0.5) == 0.5
+        assert uniform_profile.cdf(0.5) == 0.5
 
     def test_left_of_support(self, gap_profile):
-        assert cdf_eval(gap_profile, -1.0) == 0.0
+        assert gap_profile.cdf(-1.0) == 0.0
 
     def test_density_two(self, dense2_profile):
         # hand integration of the constant density
-        assert cdf_eval(dense2_profile, 0.75) == pytest.approx(1.5, abs=1e-15)
+        assert dense2_profile.cdf(0.75) == pytest.approx(1.5, abs=1e-15)
 
     def test_right_of_support(self, dense2_profile):
-        assert cdf_eval(dense2_profile, 5.0) == 2.0
+        assert dense2_profile.cdf(5.0) == 2.0
 
     def test_gap_plateau(self, gap_profile):
-        assert cdf_eval(gap_profile, 1.5) == 1.0
+        assert gap_profile.cdf(1.5) == 1.0
 
     def test_vectorized_and_monotone(self, gap_profile):
         x = np.linspace(-1.0, 4.0, 301)
-        g = cdf_eval(gap_profile, x)
+        g = gap_profile.cdf(x)
         assert g.shape == x.shape
         assert np.all(np.diff(g) >= 0)
 
 
 class TestPseudoInverseEval:
     def test_uniform_identity(self, uniform_profile):
-        assert pseudo_inverse_eval(uniform_profile, 0.25) == 0.25
+        assert uniform_profile.quantile(0.25) == 0.25
 
     def test_gap_right_continuity(self, gap_profile):
         # infimum over the gap picks the left edge of the next mass
-        assert pseudo_inverse_eval(gap_profile, 1.0) == 2.0
+        assert gap_profile.quantile(1.0) == 2.0
 
     def test_density_two(self, dense2_profile):
-        assert pseudo_inverse_eval(dense2_profile, 1.5) == 0.75
+        assert dense2_profile.quantile(1.5) == 0.75
 
     def test_domain_errors(self, uniform_profile):
         with pytest.raises(ValueError):
-            pseudo_inverse_eval(uniform_profile, -0.1)
+            uniform_profile.quantile(-0.1)
         with pytest.raises(ValueError):
-            pseudo_inverse_eval(uniform_profile, 1.0)
+            uniform_profile.quantile(1.0)
 
     def test_one_sided_bounds(self, gap_profile):
         # (Y o G)(x) >= x and (G o Y)(zeta) >= zeta

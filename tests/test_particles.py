@@ -13,8 +13,8 @@ from arflow import (
     particle_rhs,
     rhs,
 )
-from arflow.measures import convolve_kernel
 from arflow.kernels import psi
+from conftest import convolve_kernel
 
 
 class TestParticleSystem:
