@@ -50,8 +50,9 @@ class RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
-            profile_path = Path(path).parent / doc["profile"]
-            profile = ReferenceProfile.from_json(profile_path)
+            # relative file names are taken from the config's directory
+            base = Path(path).parent
+            profile = ReferenceProfile.from_json(base / doc["profile"])
             exps = Exponents(float(doc["q_a"]), float(doc["q_r"]))
             n = int(doc.get("n", 400))
             if n < 16:
@@ -66,10 +67,13 @@ class RunConfig:
             integrator.check_guard(lipschitz_bound(profile, exps.q_a))
             fit = {key: None if doc.get(key) is None else float(doc[key])
                    for key in ("t_fit_lo", "t_fit_hi")}
+            initial = _checked_initial(doc.get("initial", {}))
+            if initial.get("kind") == "csv":
+                initial = {**initial, "path": base / initial["path"]}
             return cls(
                 profile=profile,
                 exps=exps,
-                initial=_checked_initial(doc.get("initial", {})),
+                initial=initial,
                 n=n,
                 integrator=integrator,
                 **fit,

@@ -3,19 +3,23 @@
 Every datum term is exact for the piecewise-constant datum unless a caller
 passes a ``MassQuadrature``.  The attraction term is the mean of
 psi_a * omega over the state's nodes and the datum's self term a double sum
-over its signed atoms, both from the datum sums of ``kernels``; its
-transform omega_hat is a sum over its pieces.  The repulsion term is a
-midpoint double sum in mass coordinates, taken on the sorted state through
-the pair-sum helpers of ``kernels``.  The Fourier form evaluates the same
-quadratic energy through characteristic functions, on Gauss-Legendre
+over its signed atoms, both from the datum sums of ``kernels``.  The
+repulsion term is a midpoint double sum in mass coordinates, taken on the
+sorted state through the pair-sum helpers of ``kernels``.  The Fourier form
+evaluates the same quadratic energy through characteristic functions.  On
+that side every measure is a set of pieces (centre, mass, width): the
+datum's own pieces, uniform on their widths, or point masses (width None),
+which are the state's nodes, a quadrature's nodes or delta_0.  One sum over
+the pieces gives each transform, one formula their moments, and one helper
+integrates the difference of two transforms over xi, on Gauss-Legendre
 panels uniform in ln xi, with an error bound that holds the truncated head
-and tail and the rule's own error.  The moment certificates turn the a-priori bounds on energy
-sublevels into checkable per-snapshot inequalities.
+and tail and the rule's own error.  The moment certificates turn the
+a-priori bounds on energy sublevels into checkable per-snapshot
+inequalities.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -23,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import rhs
-from .kernels import AttractionPotential, _datum_atoms, _datum_conv, \
-    _level_factor, _pair_sum, _scratch_blocks
+from .kernels import AttractionPotential, Exponents, _datum_atoms, \
+    _datum_conv, _level_factor, _pair_sum, _scratch_blocks
 from .measures import moment
 
 __all__ = [
@@ -43,11 +47,6 @@ __all__ = [
     "dq_constant",
     "moment_certificate",
 ]
-
-try:
-    _trapezoid = np.trapezoid
-except AttributeError:  # numpy < 2
-    _trapezoid = np.trapz
 
 
 @dataclass(frozen=True)
@@ -71,16 +70,13 @@ _XI_CHECK_ORDER = 8
 class XiGrid:
     """Frequency panels on [xi_min, xi_max], uniform in ln xi (positive half)."""
 
-    xi_min: float = 1e-4
-    xi_max: float = 1e3
+    xi_min = 1e-4
+    xi_max = 1e3
 
     @property
     def nodes_per_side(self):
         """xi nodes per side at which the character sums run, check rule's too."""
         return _XI_PANELS * (_XI_ORDER + _XI_CHECK_ORDER)
-
-
-_XI_GRID = XiGrid()
 
 
 @dataclass(frozen=True)
@@ -123,13 +119,17 @@ def dissipation(X, profile, exps, quad=None):
 
 
 def energy_balance(reports):
-    """Defect |E(0) - E(T) - trapezoid(D, t)| of the energy-dissipation identity."""
+    """Defect |E(0) - E(T) - trapezoid(D, t)| of the energy-dissipation identity.
+
+    The trapezoid sum is written as ``np.trapezoid`` forms it, bit for bit.
+    """
     if len(reports) < 2:
         raise ValueError("need at least two snapshots")
     t = np.array([r.t for r in reports])
     e = np.array([r.E for r in reports])
     d = np.array([r.D for r in reports])
-    return float(abs(e[0] - e[-1] - _trapezoid(d, t)))
+    dissipated = np.add.reduce(np.diff(t) * (d[1:] + d[:-1]) / 2.0)
+    return float(abs(e[0] - e[-1] - dissipated))
 
 
 def make_report(t, X, profile, exps, quad=None):
@@ -143,148 +143,143 @@ def make_report(t, X, profile, exps, quad=None):
 
 
 def reports_to_csv(reports, path):
+    # csv.writer's rendering, as no %.17g field needs quoting
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "E", "D", "moment_qa", "moment_r"])
-        for r in reports:
-            writer.writerow(
-                [f"{r.t:.17g}", f"{r.E:.17g}", f"{r.D:.17g}",
-                 f"{r.moment_qa:.17g}", f"{r.moment_r:.17g}"]
-            )
+        fh.write("t,E,D,moment_qa,moment_r\n")
+        fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g\n"
+                      % (r.t, r.E, r.D, r.moment_qa, r.moment_r)
+                      for r in reports)
 
 
 # -- Fourier representation ----------------------------------------------
 
 
-def dq_constant(q, d=1):
-    """Positive constant in the |xi|^{-d-q} representation of |x|^q."""
+def dq_constant(q):
+    """Positive constant in the |xi|^{-1-q} representation of |x|^q in 1D."""
     return float(
-        -((2.0 * math.pi) ** (-d / 2.0))
-        * 2.0 ** (q + d / 2.0)
-        * math.gamma((d + q) / 2.0)
+        -((2.0 * math.pi) ** -0.5)
+        * 2.0 ** (q + 0.5)
+        * math.gamma((1.0 + q) / 2.0)
         / (2.0 * math.gamma(-q / 2.0))
     )
 
 
-def _char_fn(points, weights, xi):
-    # weights.exp(-i xi x) = weights.cos(xi x) - i weights.sin(xi x), in
-    # xi-row blocks under the kernel memory cap
-    out = np.empty(xi.size, dtype=complex)
-    for rows, phase, cos in _scratch_blocks(xi.size, points.size, temps=2):
-        np.multiply(xi[rows, None], points, out=phase)
-        np.cos(phase, out=cos)
-        np.sin(phase, out=phase)
-        out[rows] = cos @ weights - 1j * (phase @ weights)
-    return out
+def _datum_pieces(profile, quad=None, shift=0.0):
+    """The datum translated by -shift as pieces (centre, mass, width).
 
-
-def _datum_transform(profile, quad=None, shift=0.0):
-    """omega_hat and the moments m_1..m_3 of the datum translated by -shift.
-
-    Exact by pieces unless ``quad`` is given.  A piece of density rho, width
-    w and midpoint c adds rho w e^{-i xi c} sinc(xi w / 2), which does not
-    cancel at small xi as the breakpoint (jump) form does.
+    On the Fourier side every measure is such a set of pieces: mass m
+    spread uniformly over [c - w/2, c + w/2], or a point mass where the
+    widths are None.  The masses are one per piece, or one scalar total
+    that the pieces share equally, as for the state.  The datum is exact by
+    pieces unless ``quad`` is given: piece k of density rho_k on
+    [b_k, b_k + w_k] has centre b_k + w_k/2 and mass rho_k w_k.  A ``quad``
+    gives the point masses of ``kernels._datum_atoms``.
     """
     if quad is not None:
         y, w, _ = _datum_atoms(profile, quad)
-        y = y - shift
-        return ((lambda xi: _char_fn(y, w, xi)),
-                tuple(float(w @ y**k) for k in (1, 2, 3)))
+        return y - shift, w, None
     b = profile.breakpoints
     width = np.diff(b)
-    centre = b[:-1] + 0.5 * width - shift
-    mass = profile.densities * width
-    moments = (float(mass @ centre),
-               float(mass @ (centre**2 + width**2 / 12.0)),
-               float(mass @ (centre**3 + centre * width**2 / 4.0)))
-
-    def transform(xi):
-        out = np.empty(xi.size, dtype=complex)
-        for rows, amp, phase, trig in _scratch_blocks(xi.size, width.size,
-                                                      temps=3):
-            # np.sinc(t) = sin(pi t) / (pi t)
-            np.multiply(xi[rows, None], width / (2.0 * np.pi), out=amp)
-            amp[...] = np.sinc(amp)
-            np.multiply(xi[rows, None], centre, out=phase)
-            np.multiply(np.cos(phase, out=trig), amp, out=trig)
-            out[rows].real = trig @ mass
-            np.multiply(np.sin(phase, out=trig), amp, out=trig)
-            out[rows].imag = -(trig @ mass)
-        return out
-
-    return transform, moments
+    return b[:-1] + 0.5 * width - shift, profile.densities * width, width
 
 
-def _omega_pair_sum(profile, q, quad=None):
-    """Double integral of |x - y|^q against the datum twice.
+def _char_fn(pieces, xi):
+    """sum_j m_j e^{-i xi c_j} sinc(xi w_j / 2) at each xi.
 
-    Over the datum's atoms (y, c, k) it is (-1)^k sum_ij c_i c_j G(y_i - y_j),
-    with G the 2k-th primitive of |u|^q: integration by parts in both
-    variables.  Exact unless ``quad`` is given.
+    The pieces are those of ``_datum_pieces``.  Uniform pieces do not
+    cancel at small xi as the datum's breakpoint (jump) form does.  Without
+    widths no sinc is taken, so a point sum costs cos and sin only.  Runs in
+    xi-row blocks under the kernel memory cap.
     """
-    y, c, k = _datum_atoms(profile, quad)
-    return (-1) ** k * _level_factor(q, 2 * k) * _pair_sum(y, c, q + 2 * k)
+    centre, mass, width = pieces
+    if np.ndim(mass) == 0:
+        mass = np.full(centre.size, mass / centre.size)
+    out = np.empty(xi.size, dtype=complex)
+    temps = 2 if width is None else 3
+    for rows, *amp, phase, trig in _scratch_blocks(xi.size, centre.size,
+                                                   temps=temps):
+        if amp:
+            # np.sinc(t) = sin(pi t) / (pi t)
+            np.multiply(xi[rows, None], width / (2.0 * np.pi), out=amp[0])
+            amp[0][...] = np.sinc(amp[0])
+        np.multiply(xi[rows, None], centre, out=phase)
+        for part, trig_fn in ((out.real, np.cos), (out.imag, np.sin)):
+            trig_fn(phase, out=trig)
+            if amp:
+                np.multiply(trig, amp[0], out=trig)
+            part[rows] = trig @ mass
+    np.negative(out.imag, out=out.imag)  # e^{-it} = cos t - i sin t
+    return out
+
+
+def _moments(pieces):
+    """First three moments of the pieces, each uniform on its width."""
+    centre, mass, width = pieces
+    w2 = 0.0 if width is None else width**2
+    terms = (centre, centre**2 + w2 / 12.0, centre**3 + centre * w2 / 4.0)
+    if np.ndim(mass) == 0:
+        return tuple(mass * float(np.mean(t)) for t in terms)
+    return tuple(float(mass @ t) for t in terms)
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_legendre(order):
-    """Nodes and weights of the order-point Gauss-Legendre rule on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(order)
+def _xi_rule():
+    """xi nodes of the rule, then its check rule's, and each rule's weights.
 
-
-def _panel_rule(order):
-    """Nodes and weights, (panels, order), of Gauss-Legendre on each panel.
-
-    The panels are uniform in s = ln xi, and dxi = xi ds goes into the
-    weights.
+    Both rules are Gauss-Legendre on the same panels, uniform in
+    s = ln xi, with dxi = xi ds in the weights, which have the shape
+    (panels, order).
     """
-    t, w = _gauss_legendre(order)
-    edges = np.linspace(math.log(_XI_GRID.xi_min), math.log(_XI_GRID.xi_max),
+    edges = np.linspace(math.log(XiGrid.xi_min), math.log(XiGrid.xi_max),
                         _XI_PANELS + 1)
     half = 0.5 * (edges[1] - edges[0])
-    xi = np.exp(edges[:-1, None] + half * (1.0 + t))
-    return xi, half * w * xi
+    nodes, weights = [], []
+    for order in (_XI_ORDER, _XI_CHECK_ORDER):
+        t, w = np.polynomial.legendre.leggauss(order)
+        xi = np.exp(edges[:-1, None] + half * (1.0 + t))
+        nodes.append(xi.ravel())
+        weights.append(half * w * xi)
+    rule = (np.concatenate(nodes), *weights)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
-def _xi_integral(char_diff, moments, q):
-    """2 int_0^inf |char_diff(xi)|^2 xi^{-1-q} dxi, and an error bound.
+def _xi_integral(mu, nu, q):
+    """2 int_0^inf |mu_hat - nu_hat|^2 xi^{-1-q} dxi, and an error bound.
 
-    ``char_diff`` is the transform of a zero-mass signed measure whose first
-    three moments are ``moments`` = (d1, d2, d3), so at small xi
-    |char_diff|^2 = d1^2 xi^2 + (d2^2/4 - d1 d3/3) xi^4 + ....  The value
-    is the panel rule on [xi_min, xi_max] plus the first head order below
-    xi_min.  The bound holds the next head order, the
-    tail beyond xi_max (where |char_diff| <= 2), and, panel by panel, the
+    ``mu`` and ``nu`` are pieces of equal mass, so their difference has
+    moments (d1, d2, d3) and at small xi
+    |mu_hat - nu_hat|^2 = d1^2 xi^2 + (d2^2/4 - d1 d3/3) xi^4 + ....  The
+    value is the panel rule on [xi_min, xi_max] plus the first head order
+    below xi_min.  The bound holds the next head order, the tail beyond
+    xi_max (where |mu_hat - nu_hat| <= 2), and, panel by panel, the
     difference between the rule and the lower-order check rule.
     """
-    xi_hi, w_hi = _panel_rule(_XI_ORDER)
-    xi_lo, w_lo = _panel_rule(_XI_CHECK_ORDER)
-    xi = np.concatenate([xi_hi.ravel(), xi_lo.ravel()])
-    diff = char_diff(xi)
+    xi, w_hi, w_lo = _xi_rule()
+    diff = _char_fn(mu, xi) - _char_fn(nu, xi)
     f = (diff.real**2 + diff.imag**2) * xi ** (-1.0 - q)
-    panel_hi = np.sum(w_hi * f[:xi_hi.size].reshape(w_hi.shape), axis=1)
-    panel_lo = np.sum(w_lo * f[xi_hi.size:].reshape(w_lo.shape), axis=1)
+    panel_hi = np.sum(w_hi * f[:w_hi.size].reshape(w_hi.shape), axis=1)
+    panel_lo = np.sum(w_lo * f[w_hi.size:].reshape(w_lo.shape), axis=1)
     rule_err = float(np.sum(np.abs(panel_hi - panel_lo)))
 
-    d1, d2, d3 = moments
-    head = d1 * d1 * _XI_GRID.xi_min ** (2.0 - q) / (2.0 - q)
+    d1, d2, d3 = (a - b for a, b in zip(_moments(mu), _moments(nu)))
+    head = d1 * d1 * XiGrid.xi_min ** (2.0 - q) / (2.0 - q)
     head_rem = ((d2 * d2 / 4.0 + abs(d1 * d3) / 3.0)
-                * _XI_GRID.xi_min ** (4.0 - q) / (4.0 - q))
-    tail = (4.0 / q) * _XI_GRID.xi_max ** (-q)
+                * XiGrid.xi_min ** (4.0 - q) / (4.0 - q))
+    tail = (4.0 / q) * XiGrid.xi_max ** (-q)
     body = float(np.sum(panel_hi))
     return 2.0 * (body + head), 2.0 * (head_rem + tail + rule_err)
 
 
 def tilde_energy(X, profile, q, quad=None):
-    """-1/2 double integral of |x-y|^q against (mu - omega) twice, by sums.
+    """-1/2 double integral of |x-y|^q against (mu - omega) twice.
 
-    The datum terms are exact unless ``quad`` is given.
+    That is the energy at q_a = q_r = q less the datum's self energy.  The
+    datum terms are exact unless ``quad`` is given.
     """
-    x = X.x_values
-    s_mm = _pair_sum(x, np.full(X.n, 1.0 / X.n), q)
-    s_mo = float(np.mean(_datum_conv(profile, q, x, quad)))
-    s_oo = _omega_pair_sum(profile, q, quad)
-    return -0.5 * (s_mm - 2.0 * s_mo + s_oo)
+    return (energy(X, profile, Exponents(q, q), quad)
+            - self_energy_constant(profile, q, quad))
 
 
 def fourier_energy(X, profile, q, quad=None):
@@ -301,12 +296,8 @@ def fourier_energy(X, profile, q, quad=None):
     if abs(profile.mass - 1.0) > 1e-12:
         raise ValueError("fourier energy requires a unit-mass datum")
     shift = profile.com()
-    x = X.x_values - shift
-    w_mu = np.full(X.n, 1.0 / X.n)
-    omega_hat, m_omega = _datum_transform(profile, quad, shift)
-    moments = [float(np.mean(x**k)) - m for k, m in zip((1, 2, 3), m_omega)]
-    value, bound = _xi_integral(
-        lambda xi: _char_fn(x, w_mu, xi) - omega_hat(xi), moments, q)
+    mu = (X.x_values - shift, 1.0, None)
+    value, bound = _xi_integral(mu, _datum_pieces(profile, quad, shift), q)
     dq = dq_constant(q)
     return FourierEnergy(dq * value, dq * bound)
 
@@ -314,9 +305,14 @@ def fourier_energy(X, profile, q, quad=None):
 def self_energy_constant(profile, q, quad=None):
     """C = 1/2 double integral of |x-y|^q against the datum twice.
 
-    Exact unless ``quad`` is given.
+    Over the datum's atoms (y, c, k) the double integral is
+    (-1)^k sum_ij c_i c_j G(y_i - y_j), with G the 2k-th primitive of
+    |u|^q: integration by parts in both variables.  Exact unless ``quad``
+    is given.
     """
-    return 0.5 * _omega_pair_sum(profile, q, quad)
+    y, c, k = _datum_atoms(profile, quad)
+    pairs = _pair_sum(y, c, q + 2 * k)
+    return 0.5 * (-1) ** k * _level_factor(q, 2 * k) * pairs
 
 
 # -- moment certificates -------------------------------------------------
@@ -348,19 +344,14 @@ def moment_certificate(reports, exps, profile, quad=None):
         raise ValueError("balanced certificate requires a unit-mass datum")
     # energy sublevel in the completed-square form
     level = e0 - self_energy_constant(profile, q, quad)
-    t_omega = _omega_vs_point_mass(profile, q, quad)
-    m2 = 2.0 * (level / dq_constant(q) + t_omega)
-    bound = 2.0 * dq_constant(r, d=1) * (
+    # integral of |1 - omega_hat|^2 |xi|^{-1-q} plus its error bound, an
+    # upper estimate that keeps the certificate a valid bound
+    value, err = _xi_integral((np.zeros(1), 1.0, None),
+                              _datum_pieces(profile, quad), q)
+    m2 = 2.0 * (level / dq_constant(q) + (value + err))
+    bound = 2.0 * dq_constant(r) * (
         math.sqrt(2.0 / (q - 2.0 * r)) * math.sqrt(max(m2, 0.0)) + 4.0 / r
     )
     observed = max(rep.moment_r for rep in reports)
     return CertificateResult(observed <= bound, bound, observed, "balanced", r)
 
-
-def _omega_vs_point_mass(profile, q, quad=None):
-    # integral of |1 - omega_hat|^2 |xi|^{-1-q} plus its error bound, an upper
-    # estimate that keeps the certificate a valid bound
-    omega_hat, moments = _datum_transform(profile, quad)
-    value, bound = _xi_integral(lambda xi: 1.0 - omega_hat(xi),
-                                [-m for m in moments], q)
-    return value + bound

@@ -358,6 +358,26 @@ class TestInitialKinds:
         assert cli.main(["simulate", "--config", str(cfg),
                         "--out", str(out)]) == 0
 
+    def test_csv_path_relative_to_config(self, tmp_path, monkeypatch):
+        # like the profile, a relative csv path is taken from the config's
+        # directory, not from the working directory
+        from arflow import uniform_state
+
+        cfg_dir = tmp_path / "cfg"
+        cfg_dir.mkdir()
+        write_profile(cfg_dir, [0.0, 1.0], [1.0])
+        uniform_state(0.0, 1.0, 32).to_csv(cfg_dir / "x0.csv")
+        write_config(cfg_dir, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 32,
+            "dt": 0.01, "t_end": 0.1, "record_every": 5,
+            "initial": {"kind": "csv", "path": "x0.csv"},
+        })
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", "--config", "cfg/config.json",
+                         "--out", "run"]) == 0
+        assert ((tmp_path / "run" / "snapshot_0000.csv").read_bytes()
+                == (cfg_dir / "x0.csv").read_bytes())
+
     @pytest.mark.parametrize("doc", [
         {"initial": {"kind": "uniform", "b": 1}},
         {"initial": {"kind": "uniform", "a": 1.0, "b": 1.0}},

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -19,8 +21,11 @@ from arflow import (
     uniform_state,
 )
 from arflow.energetics import (
+    EnergyReport,
     XiGrid,
-    _datum_transform,
+    _char_fn,
+    _datum_pieces,
+    _moments,
     dq_constant,
     make_report,
     reports_to_csv,
@@ -125,6 +130,16 @@ class TestEnergyBalance:
         reps = [make_report(t, ss.Xstar, uniform_profile, exps)
                 for t in (0.0, 1.0, 2.0)]
         assert energy_balance(reps) <= 1e-10
+
+    def test_trapezoid_matches_numpy_bit_for_bit(self, rng):
+        for size in (2, 3, 17, 200):
+            t = np.cumsum(rng.uniform(0.0, 0.1, size))
+            e = rng.normal(size=size)
+            d = rng.exponential(size=size)
+            reps = [EnergyReport(float(ti), float(ei), float(di), 0.0, 0.0)
+                    for ti, ei, di in zip(t, e, d)]
+            expected = float(abs(e[0] - e[-1] - np.trapezoid(d, t)))
+            assert energy_balance(reps) == expected
 
     def test_closed_form_run(self, uniform_profile):
         exps = Exponents(2.0, 2.0)
@@ -232,10 +247,10 @@ class TestExactDatumTransform:
 
     def test_transform_order_against_quadrature(self):
         xi = np.geomspace(1e-4, 10.0, 60)
-        exact = _datum_transform(self.GAP)[0](xi)
+        exact = _char_fn(_datum_pieces(self.GAP), xi)
         errs = [
-            np.max(np.abs(_datum_transform(
-                self.GAP, MassQuadrature.midpoint(self.GAP, m))[0](xi) - exact))
+            np.max(np.abs(_char_fn(_datum_pieces(
+                self.GAP, MassQuadrature.midpoint(self.GAP, m)), xi) - exact))
             for m in self.SIZES
         ]
         assert np.all(self.orders(errs) >= 0.9), (errs, self.orders(errs))
@@ -248,11 +263,30 @@ class TestExactDatumTransform:
         b = prof.breakpoints
         m1, m2, m3 = (float(prof.densities @ (b[1:] ** (k + 1) - b[:-1] ** (k + 1))
                             / (k + 1)) for k in (1, 2, 3))
-        omega_hat, moments = _datum_transform(prof)
-        assert moments == pytest.approx((m1, m2, m3), rel=1e-14)
+        pieces = _datum_pieces(prof)
+        assert _moments(pieces) == pytest.approx((m1, m2, m3), rel=1e-14)
         xi = XiGrid().xi_min
         taylor = 1.0 - 1j * xi * m1 - xi**2 * m2 / 2.0 + 1j * xi**3 * m3 / 6.0
-        assert abs(omega_hat(np.array([xi]))[0] - taylor) <= 1e-15
+        assert abs(_char_fn(pieces, np.array([xi]))[0] - taylor) <= 1e-15
+
+    def test_zero_widths_are_point_masses(self, rng):
+        # sinc(0) = 1 exactly, so zero-width pieces give the point sums
+        centre = rng.uniform(-2.0, 3.0, 50)
+        mass = rng.uniform(0.0, 1.0, 50)
+        xi = np.geomspace(1e-4, 1e3, 300)
+        points = (centre, mass, None)
+        flat = (centre, mass, np.zeros(50))
+        assert _char_fn(flat, xi).tobytes() == _char_fn(points, xi).tobytes()
+        assert _moments(flat) == _moments(points)
+
+    def test_shared_total_mass_is_equal_masses(self, rng):
+        # a scalar mass is a total that the pieces share equally
+        centre = rng.uniform(-2.0, 3.0, 40)
+        xi = np.geomspace(1e-4, 1e3, 50)
+        equal = (centre, np.full(40, 1.0 / 40), None)
+        shared = (centre, 1.0, None)
+        assert _char_fn(shared, xi).tobytes() == _char_fn(equal, xi).tobytes()
+        assert _moments(shared) == pytest.approx(_moments(equal), rel=1e-14)
 
     @pytest.mark.parametrize("q", [1.0, 1.2, 1.5, 1.8, 2.0])
     def test_self_term_order_against_quadrature(self, q):
@@ -323,6 +357,21 @@ class TestReportCsv:
         assert lines[0] == "t,E,D,moment_qa,moment_r"
         assert len(lines) == 3
         assert "\r" not in path.read_text()
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        values = (0.1, -0.0, 1e300, -1e300, 1e-300, 1.0 / 3.0, 2.0**-1074)
+        reps = [EnergyReport(*np.roll(values, k)[:5].tolist())
+                for k in range(7)]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["t", "E", "D", "moment_qa", "moment_r"])
+        for r in reps:
+            writer.writerow(
+                [f"{r.t:.17g}", f"{r.E:.17g}", f"{r.D:.17g}",
+                 f"{r.moment_qa:.17g}", f"{r.moment_r:.17g}"])
+        path = tmp_path / "energy.csv"
+        reports_to_csv(reps, path)
+        assert path.read_bytes() == expected.getvalue().encode()
 
 
 class TestSortedPairSums:

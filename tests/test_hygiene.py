@@ -103,3 +103,23 @@ def test_quadrature_nodes_read_in_two_places():
              for name in quad_node_reads(path)}
     assert reads == {("kernels", "_datum_atoms"),
                      ("particles", "_datum_sums")}
+
+
+def energetics_tree():
+    return ast.parse((ROOT / "src" / "arflow" / "energetics.py").read_text())
+
+
+def test_energetics_has_one_transform_loop():
+    # every characteristic function is the one blocked sum of _char_fn
+    calls = [node.lineno for node in ast.walk(energetics_tree())
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "_scratch_blocks"]
+    assert len(calls) == 1, f"_scratch_blocks called at lines {calls}"
+
+
+def test_energetics_defines_no_lambda():
+    # the xi integral takes two measures' pieces, not a closure
+    lambdas = [node.lineno for node in ast.walk(energetics_tree())
+               if isinstance(node, ast.Lambda)]
+    assert lambdas == [], f"lambda at lines {lambdas}"
