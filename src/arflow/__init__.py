@@ -19,8 +19,7 @@ from .energetics import (
     fourier_energy,
     moment_certificate,
 )
-from .kernels import AttractionPotential, Exponents, attraction_U, psi, \
-    psi_double_prime, psi_prime
+from .kernels import AttractionPotential, Exponents, attraction_U
 from .measures import (
     InverseCDF,
     MassQuadrature,

@@ -7,6 +7,7 @@ artifacts (fixed reduction orders, no wall-clock values).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -336,7 +337,9 @@ def cmd_energy_audit(traj_dir):
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The ``arflow`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="arflow",
         description="1D attraction-repulsion gradient flow in quantile coordinates",

@@ -94,14 +94,17 @@ class Trajectory:
 def repulsion_term(x, z, q_r):
     """Repulsion felt by each node: (1/n) sum_j psi_r'(x_i - x_j), or 2z - 1.
 
-    For q_r = 2 the sum collapses to 2(x - mean x); for q_r = 1 the cadlag
-    rank formula 2z - 1 is exact.  Both agree with the direct O(n^2) sum to
+    For q_r = 2 the sum collapses to 2(x - mean x), taken about the middle
+    node, so that far from the origin the differences are exact and the
+    mean does not round at the scale of |x|; for q_r = 1 the cadlag rank
+    formula 2z - 1 is exact.  Both agree with the direct O(n^2) sum to
     roundoff.
     """
     if q_r == 1.0:
         return 2.0 * z - 1.0
     if q_r == 2.0:
-        return 2.0 * (x - np.mean(x))
+        d = x - x[x.size // 2]
+        return 2.0 * (d - np.mean(d))
     return repulsion_direct(x, q_r)
 
 

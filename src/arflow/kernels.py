@@ -1,4 +1,4 @@
-"""Power kernels |x|^q, their derivatives, and the attraction potential.
+"""Pair and datum sums of power kernels |x|^q, and the attraction drift.
 
 The drift generated by the datum is U = psi_a' * omega, which is Lipschitz;
 its constant doubles as the step-size guard for the integrator.  Every datum
@@ -33,9 +33,6 @@ from .measures import MassQuadrature
 __all__ = [
     "Exponents",
     "AttractionPotential",
-    "psi",
-    "psi_prime",
-    "psi_double_prime",
     "attraction_U",
     "lipschitz_bound",
 ]
@@ -243,38 +240,6 @@ class Exponents:
 def _check_q(q):
     if not 1.0 <= q <= 2.0:
         raise ValueError(f"exponent {q} outside [1, 2]")
-
-
-def psi(q, x):
-    """|x|^q."""
-    _check_q(q)
-    return np.abs(x) ** q
-
-
-def psi_prime(q, x):
-    """q sgn(x) |x|^{q-1}, with psi'(0) = 0 for every q (sgn(0) = 0)."""
-    _check_q(q)
-    x = np.asarray(x, dtype=float)
-    if q == 2.0:
-        out = 2.0 * x
-    elif q == 1.0:
-        out = np.sign(x)
-    else:
-        out = q * np.sign(x) * np.abs(x) ** (q - 1.0)
-    return out if out.ndim else float(out)
-
-
-def psi_double_prime(q, x):
-    """q(q-1)|x|^{q-2}; singular at 0 for q < 2."""
-    _check_q(q)
-    x = np.asarray(x, dtype=float)
-    if q < 2.0 and np.any(x == 0.0):
-        raise ValueError(f"second derivative of |x|^{q} undefined at 0")
-    if q == 2.0:
-        out = np.full_like(x, 2.0)
-    else:
-        out = q * (q - 1.0) * np.abs(x) ** (q - 2.0)
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

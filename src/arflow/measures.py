@@ -8,6 +8,7 @@ CDF and quantile function have closed forms.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -27,6 +28,17 @@ __all__ = [
 def midpoint_grid(n):
     """Mass-variable midpoints z_i = (i - 1/2)/n in (0, 1)."""
     return (np.arange(n) + 0.5) / n
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_text(n):
+    """The z column of a state CSV: ``"%.17g,"`` of each grid node z_i.
+
+    Every snapshot of a run shares its grid, and formatting a float to 17
+    digits is most of the cost of a CSV line, so the column is formatted
+    once per grid size.  A tuple, as the cache hands it to every caller.
+    """
+    return tuple("%.17g," % z for z in midpoint_grid(n).tolist())
 
 
 @dataclass(frozen=True)
@@ -69,12 +81,17 @@ class InverseCDF:
         return float(np.min(np.diff(self.x_values)) * self.n)
 
     def to_csv(self, path):
-        # csv.writer's rendering, as no %.17g field needs quoting; lines are
-        # streamed, as one joined string raised the peak RSS
-        pairs = zip(self.z_grid.tolist(), self.x_values.tolist())
+        """Write the header ``z,x`` and one ``%.17g`` row per node.
+
+        This is csv.writer's rendering, as no %.17g field needs quoting.
+        The z column comes formatted from ``_grid_text``; only x is
+        formatted per call.  Lines are streamed, as one joined string
+        raised the peak RSS.
+        """
+        xs = ("%.17g\n" % x for x in self.x_values.tolist())
         with open(path, "w", newline="") as fh:
             fh.write("z,x\n")
-            fh.writelines("%.17g,%.17g\n" % pair for pair in pairs)
+            fh.writelines(map(str.__add__, _grid_text(self.n), xs))
 
     @classmethod
     def from_csv(cls, path):
@@ -134,6 +151,10 @@ class ReferenceProfile:
         cum[-1] = mass
         cum.setflags(write=False)
         object.__setattr__(self, "_cum_mass", cum)
+        # (b_{k+1}^2 - b_k^2)/2 as width times midpoint, which loses no
+        # digits far from the origin
+        first_moment = np.sum(d * np.diff(b) * (b[1:] + b[:-1]))
+        object.__setattr__(self, "_com", float(first_moment / (2.0 * mass)))
 
     @property
     def support(self):
@@ -166,11 +187,7 @@ class ReferenceProfile:
 
     def com(self):
         """Center of mass, (1/m) * integral of x * density."""
-        b = self.breakpoints
-        # (b_{k+1}^2 - b_k^2)/2 as width times midpoint, which loses no
-        # digits far from the origin
-        first_moment = np.sum(self.densities * np.diff(b) * (b[1:] + b[:-1]))
-        return float(first_moment / (2.0 * self.mass))
+        return self._com
 
     def abs_moment(self, r):
         """Exact integral of |x|^r against the density (not normalized)."""

@@ -1,9 +1,10 @@
 """Explicit steady states for q_r = 1 and the stationarity residual.
 
-For q_a > 1 the equilibrium quantile function inverts the drift U node by
-node; for q_a = 1 it is a shifted window of the datum's quantile function.
-For m < 1 (q = 1) only a partial limit profile exists and the outer mass
-escapes.
+The equilibrium quantile function solves U(X*(z)) = 2z - 1.  At q_a = 2 the
+drift is affine, U(x) = 2m(x - com), so X* = com + (2z - 1)/(2m) in closed
+form; for 1 < q_a < 2 bisection inverts U node by node; for q_a = 1 X* is a
+shifted window of the datum's quantile function.  For m < 1 (q = 1) only a
+partial limit profile exists and the outer mass escapes.
 """
 
 from __future__ import annotations
@@ -80,7 +81,10 @@ def invert_increasing(f, targets, lo, hi, tol=1e-12, max_expand=200):
 
 
 def steady_qr1(profile, q_a, n):
-    """Steady state for q_r = 1 (unique for q_a > 1; shifted datum for q_a = 1)."""
+    """Steady state for q_r = 1 (unique for q_a > 1; shifted datum for q_a = 1).
+
+    Closed form at q_a = 2, bisection for 1 < q_a < 2.
+    """
     m = profile.mass
     z = midpoint_grid(n)
     if q_a == 1.0:
@@ -97,6 +101,10 @@ def steady_qr1(profile, q_a, n):
         x_zero = profile.quantile(m / 2.0)
         return SteadyState(InverseCDF(xstar), float(x_lo), float(x_hi),
                            float(x_zero), "qa_eq_1_shift")
+    if q_a == 2.0:
+        com, half = profile.com(), 0.5 / m
+        return SteadyState(InverseCDF(com + (2.0 * z - 1.0) * half),
+                           com - half, com + half, com, "qa_gt_1")
     pot = AttractionPotential(profile, q_a)
     lo, hi = profile.support
     x_lo, x_zero, x_hi = invert_increasing(pot, [-1.0, 0.0, 1.0], lo, hi)

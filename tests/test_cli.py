@@ -154,6 +154,40 @@ class TestSimulate:
         assert "\r" not in text
 
 
+class TestMain:
+    def test_one_process_matches_fresh_processes(self, tmp_path):
+        # the parser is built once per process; reusing it for several
+        # commands, a failed one included, changes no output
+        write_profile(tmp_path, [0.0, 0.5, 1.5], [1.2, 0.4])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 1.0, "n": 32,
+            "dt": 0.05, "t_end": 0.1,
+        })
+
+        def argvs(out):
+            return [["simulate", "--config", str(cfg), "--out", str(out)],
+                    ["energy-audit", "--out", str(out)],
+                    ["simulate", "--config", str(cfg)]]
+
+        codes = []
+        for argv in argvs(tmp_path / "one"):
+            try:
+                codes.append(cli.main(argv))
+            except SystemExit as exc:
+                codes.append(exc.code)
+        fresh = [subprocess.run([sys.executable, "-m", "arflow.cli", *argv],
+                                capture_output=True,
+                                env=dict(os.environ, PYTHONPATH=SRC)
+                                ).returncode
+                 for argv in argvs(tmp_path / "fresh")]
+        assert codes == fresh == [0, 0, 2]
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "fresh").iterdir())
+        for name in names:
+            assert ((tmp_path / "one" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes()), name
+
+
 class TestSteady:
     def test_q1_m2_sidecar(self, tmp_path):
         write_profile(tmp_path, [0.0, 1.0], [2.0])
@@ -202,12 +236,14 @@ class TestOracleCheck:
         assert cli.main(["oracle-check", "--config", str(cfg)]) == 0
         assert "pass" in capsys.readouterr().out
 
-    def test_datum_far_from_origin(self, tmp_path, capsys):
+    @pytest.mark.parametrize("c", [99.5, 1e4, 1e6, 1e8])
+    def test_datum_far_from_origin(self, tmp_path, capsys, c):
         # states are drawn around the datum, so the absolute 1e-12 check
-        # does not meet the roundoff of |x - b| ~ 100
-        write_profile(tmp_path, [99.5, 100.5], [1.0])
+        # does not meet the roundoff of |x - b| ~ c; the q_r = 2 repulsion
+        # is taken about a node, not about a mean that rounds at c
+        write_profile(tmp_path, [c, c + 1.0], [1.0])
         cfg = write_config(tmp_path, {
-            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 64,
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.5, "n": 200,
         })
         assert cli.main(["oracle-check", "--config", str(cfg)]) == 0
         assert "pass" in capsys.readouterr().out

@@ -20,8 +20,8 @@ from arflow import (
 )
 from arflow import dynamics, kernels
 from arflow.dynamics import repulsion_direct, repulsion_term
-from arflow.kernels import psi_prime
 from arflow.steady import steady_qr1, steady_residual
+from conftest import psi_prime
 
 
 class TestRepulsionTerm:

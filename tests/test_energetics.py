@@ -32,9 +32,9 @@ from arflow.energetics import (
     self_energy_constant,
     tilde_energy,
 )
-from arflow.kernels import psi, psi_prime
 from arflow.measures import midpoint_grid
 from arflow.steady import steady_qr1
+from conftest import psi, psi_prime
 
 
 class TestEnergy:

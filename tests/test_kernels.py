@@ -15,15 +15,13 @@ from arflow import (
     discrete_energy,
     energy,
     particle_rhs,
-    psi,
-    psi_double_prime,
-    psi_prime,
     uniform_state,
 )
 from arflow.dynamics import repulsion_direct
 from arflow.energetics import self_energy_constant
 from arflow.kernels import _BLOCK_ELEMS, _datum_atoms, _datum_sum, \
     _differences, _half_triangle, _pow, _scratch_blocks
+from conftest import psi, psi_double_prime, psi_prime
 
 
 class TestExponents:

@@ -18,6 +18,16 @@ from arflow.measures import midpoint_grid
 from conftest import convolve_kernel
 
 
+def csv_writer_bytes(a):
+    """The ``csv.writer`` rendering of a state with 17-digit fields."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["z", "x"])
+    for z, v in zip(a.z_grid, a.x_values):
+        writer.writerow([f"{z:.17g}", f"{v:.17g}"])
+    return expected.getvalue().encode()
+
+
 class TestCdfEval:
     def test_uniform_midpoint(self, uniform_profile):
         assert uniform_profile.cdf(0.5) == 0.5
@@ -204,16 +214,20 @@ class TestInverseCDF:
     ], ids=["awkward", "n1", "negative-zero"])
     def test_csv_bytes_match_csv_writer(self, tmp_path, x):
         a = InverseCDF(np.array(x))
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(["z", "x"])
-        for z, v in zip(a.z_grid, a.x_values):
-            writer.writerow([f"{z:.17g}", f"{v:.17g}"])
         path = tmp_path / "state.csv"
         a.to_csv(path)
-        assert path.read_bytes() == expected.getvalue().encode()
+        assert path.read_bytes() == csv_writer_bytes(a)
         back = InverseCDF.from_csv(path)
         assert back.x_values.tobytes() == a.x_values.tobytes()
+
+    def test_csv_grid_text_follows_n(self, tmp_path):
+        # the z column is cached per grid size: writing n = 3, 5, 3 in one
+        # process must not carry one grid's text into the next
+        for i, n in enumerate([3, 5, 3]):
+            a = uniform_state(-1.0 - i, 2.0 + i, n)
+            path = tmp_path / f"state{i}.csv"
+            a.to_csv(path)
+            assert path.read_bytes() == csv_writer_bytes(a)
 
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -13,8 +13,7 @@ from arflow import (
     particle_rhs,
     rhs,
 )
-from arflow.kernels import psi
-from conftest import convolve_kernel
+from conftest import convolve_kernel, psi
 
 
 class TestParticleSystem:

@@ -72,6 +72,32 @@ class TestSteadyQr1:
         assert ss.x_zero == pytest.approx(0.5, abs=1e-10)
         assert ss.x_hi == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("breakpoints, densities", [
+        ([0.0, 1.0], [1.0]),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0]),
+        ([0.0, 1.0], [2.0]),
+        ([1e6, 1e6 + 1.0], [1.0]),
+    ], ids=["unit", "gap", "dense2", "unit-at-1e6"])
+    def test_q2_closed_form_matches_bisection(self, breakpoints, densities):
+        # at q_a = 2 the drift is affine and X* is explicit; bisection on
+        # the same drift is the reference
+        prof = ReferenceProfile(breakpoints, densities)
+        n = 256
+        ss = steady_qr1(prof, 2.0, n)
+        assert ss.kind == "qa_gt_1"
+        pot = AttractionPotential(prof, 2.0)
+        lo, hi = prof.support
+        target = 2.0 * midpoint_grid(n) - 1.0
+        tol = 1e-12 * max(1.0, abs(prof.com()))
+        x = ss.Xstar.x_values
+        assert np.max(np.abs(x - invert_increasing(pot, target, lo, hi))) \
+            <= tol
+        edges = invert_increasing(pot, [-1.0, 0.0, 1.0], lo, hi)
+        assert np.max(np.abs([ss.x_lo, ss.x_zero, ss.x_hi] - edges)) <= tol
+        # X* rounds at the float spacing of com, which U scales by 2m
+        u_tol = 1e-13 + 2.0 * prof.mass * np.spacing(abs(prof.com()))
+        assert np.max(np.abs(pot(x) - target)) <= u_tol
+
     def test_q1_mass_two_window(self, dense2_profile):
         n = 200
         ss = steady_qr1(dense2_profile, 1.0, n)
