@@ -29,7 +29,7 @@ from .measures import (
     uniform_state,
     wasserstein,
 )
-from .particles import ParticleSystem, discrete_energy, particle_rhs
+from .particles import discrete_energy, particle_rhs
 from .steady import SteadyState, shifted_profile_mlt1, steady_qr1, steady_residual
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from .dynamics import IntegratorConfig, MonotonicityError, rhs, simulate
 from .kernels import AttractionPotential, Exponents, lipschitz_bound
 from .measures import InverseCDF, ReferenceProfile, sample_profile, \
     uniform_state, wasserstein
-from .particles import ParticleSystem, discrete_energy, particle_rhs
+from .particles import discrete_energy, particle_rhs
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -35,9 +35,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    doc: dict
     profile: ReferenceProfile
     exps: Exponents
-    initial: dict
+    initial: functools.partial
     n: int
     integrator: IntegratorConfig
     t_fit_lo: float | None
@@ -55,7 +56,7 @@ class RunConfig:
             base = Path(path).parent
             profile = ReferenceProfile.from_json(base / doc["profile"])
             exps = Exponents(float(doc["q_a"]), float(doc["q_r"]))
-            n = int(doc.get("n", 400))
+            n = _integer(doc, "n", 400)
             if n < 16:
                 raise ConfigError("n must be at least 16")
             integrator = IntegratorConfig(
@@ -63,18 +64,16 @@ class RunConfig:
                 t_end=float(doc.get("t_end", 1.0)),
                 scheme=doc.get("scheme", "rk4"),
                 safety=float(doc.get("safety", 0.5)),
-                record_every=int(doc.get("record_every", 1)),
+                record_every=_integer(doc, "record_every", 1),
             )
             integrator.check_guard(lipschitz_bound(profile, exps.q_a))
             fit = {key: None if doc.get(key) is None else float(doc[key])
                    for key in ("t_fit_lo", "t_fit_hi")}
-            initial = _checked_initial(doc.get("initial", {}))
-            if initial.get("kind") == "csv":
-                initial = {**initial, "path": base / initial["path"]}
             return cls(
+                doc=doc,
                 profile=profile,
                 exps=exps,
-                initial=initial,
+                initial=_initial(doc.get("initial", {}), base, profile, n),
                 n=n,
                 integrator=integrator,
                 **fit,
@@ -85,21 +84,19 @@ class RunConfig:
             raise ConfigError(f"invalid config: {exc}") from exc
 
     def initial_state(self):
-        kind = self.initial.get("kind", "profile")
-        if kind == "uniform":
-            return uniform_state(
-                float(self.initial["a"]), float(self.initial["b"]), self.n
-            )
-        if kind == "csv":
-            return _read_state(self.initial["path"])
-        return sample_profile(self.profile, self.n)
+        return self.initial()
 
 
-def _checked_initial(initial):
-    """``initial`` as given, once ``RunConfig.initial_state`` can build it.
+def _integer(doc, key, default):
+    """``doc[key]`` as an int; a fractional value is not truncated."""
+    value = doc.get(key, default)
+    if int(value) != value:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
-    Only an unreadable or corrupt CSV file is left to fail there (exit 4).
-    """
+
+def _initial(initial, base, profile, n):
+    """Checked builder of the initial state; a bad CSV fails in it (exit 4)."""
     if not isinstance(initial, dict):
         raise ConfigError(f"initial must be an object, got {initial!r}")
     kind = initial.get("kind", "profile")
@@ -108,12 +105,14 @@ def _checked_initial(initial):
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ConfigError(f"uniform initial needs finite a < b, "
                               f"got a={a}, b={b}")
-    elif kind == "csv":
+        return functools.partial(uniform_state, a, b, n)
+    if kind == "csv":
         if not isinstance(initial.get("path"), str):
             raise ConfigError("csv initial needs a string path")
-    elif kind != "profile":
-        raise ConfigError(f"unknown initial condition kind {kind!r}")
-    return initial
+        return functools.partial(_read_state, base / initial["path"])
+    if kind == "profile":
+        return functools.partial(sample_profile, profile, n)
+    raise ConfigError(f"unknown initial condition kind {kind!r}")
 
 
 def fit_exponential_rate(t, y, t_lo, t_hi, floor=1e-300):
@@ -138,10 +137,10 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def cmd_simulate(config_path, out_dir):
-    cfg = RunConfig.load(config_path)
+def cmd_simulate(config, out):
+    cfg = RunConfig.load(config)
     X0 = cfg.initial_state()
-    out = Path(out_dir)
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
 
     reports = []
@@ -167,13 +166,8 @@ def cmd_simulate(config_path, out_dir):
         },
     )
     energetics.reports_to_csv(reports, out / "energy.csv")
-    with open(config_path) as fh:
-        config_doc = json.load(fh)
-    config_doc["profile_inline"] = {
-        "breakpoints": list(cfg.profile.breakpoints),
-        "densities": list(cfg.profile.densities),
-    }
-    _write_json(out / "config.json", config_doc)
+    _write_json(out / "config.json",
+                {**cfg.doc, "profile_inline": cfg.profile.to_doc()})
 
     times = traj.times
     t_hi = cfg.t_fit_hi if cfg.t_fit_hi is not None else float(times[-1])
@@ -212,13 +206,13 @@ def cmd_simulate(config_path, out_dir):
     return EXIT_OK
 
 
-def cmd_steady(config_path, out_dir):
-    cfg = RunConfig.load(config_path)
+def cmd_steady(config, out):
+    cfg = RunConfig.load(config)
     if cfg.exps.q_r != 1.0:
         raise ConfigError(
             f"steady builds only the q_r = 1 equilibrium, got q_r={cfg.exps.q_r}"
         )
-    out = Path(out_dir)
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     ss = steady.steady_qr1(cfg.profile, cfg.exps.q_a, cfg.n)
     if ss.Xstar is not None:
@@ -231,6 +225,7 @@ def cmd_steady(config_path, out_dir):
 
 
 ORACLE_PAIRS = [(1.7, 1.3), (1.2, 1.2), (2.0, 1.5), (2.0, 2.0), (1.4, 1.1)]
+ORACLE_CASES = 10  # states drawn per exponent pair
 
 
 class _SplitMix64:
@@ -257,8 +252,8 @@ class _SplitMix64:
         return lo + (hi - lo) * ((z >> np.uint64(11)) * 2.0**-53)
 
 
-def cmd_oracle_check(config_path, seed=0, cases=10):
-    cfg = RunConfig.load(config_path)
+def cmd_oracle_check(config, seed):
+    cfg = RunConfig.load(config)
     rng = _SplitMix64(seed)
     # states around the datum: the check is absolute, and far from the
     # origin roundoff in the datum terms grows with |x|
@@ -268,15 +263,13 @@ def cmd_oracle_check(config_path, seed=0, cases=10):
     for q_a, q_r in ORACLE_PAIRS:
         exps = Exponents(q_a, q_r)
         pot = AttractionPotential(cfg.profile, q_a)
-        for _ in range(cases):
-            x = np.sort(centre + rng.uniform(-2.0, 3.0, cfg.n))
-            X = InverseCDF(x)
-            sys_ = ParticleSystem(x)
+        for _ in range(ORACLE_CASES):
+            X = InverseCDF(np.sort(centre + rng.uniform(-2.0, 3.0, cfg.n)))
             dv = np.max(np.abs(rhs(X, pot, exps) -
-                               particle_rhs(sys_, cfg.profile, exps)))
+                               particle_rhs(X, cfg.profile, exps)))
             de = abs(
                 energetics.energy(X, cfg.profile, exps)
-                - discrete_energy(sys_, cfg.profile, exps)
+                - discrete_energy(X, cfg.profile, exps)
             )
             worst_rhs = max(worst_rhs, float(dv))
             worst_energy = max(worst_energy, float(de))
@@ -295,17 +288,14 @@ def _read_state(path):
         raise OSError(f"corrupt state CSV {path}: {exc}") from exc
 
 
-def cmd_energy_audit(traj_dir):
-    traj_dir = Path(traj_dir)
+def cmd_energy_audit(out):
+    traj_dir = Path(out)
     try:
         with open(traj_dir / "index.json") as fh:
             index = json.load(fh)
         with open(traj_dir / "config.json") as fh:
             config_doc = json.load(fh)
-        inline = config_doc["profile_inline"]
-        profile = ReferenceProfile(
-            np.array(inline["breakpoints"]), np.array(inline["densities"])
-        )
+        profile = ReferenceProfile.from_doc(config_doc["profile_inline"])
         exps = Exponents(float(config_doc["q_a"]), float(config_doc["q_r"]))
         snapshots = list(zip(index["times"], index["files"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -344,37 +334,34 @@ def build_parser():
         prog="arflow",
         description="1D attraction-repulsion gradient flow in quantile coordinates",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
     p_sim = sub.add_parser("simulate", help="run a simulation from a JSON config")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True)
+    p_sim.set_defaults(run=cmd_simulate)
 
     p_st = sub.add_parser("steady", help="construct the q_r = 1 steady state")
     p_st.add_argument("--config", required=True)
     p_st.add_argument("--out", required=True)
+    p_st.set_defaults(run=cmd_steady)
 
     p_or = sub.add_parser("oracle-check", help="particle-oracle identity suite")
     p_or.add_argument("--config", required=True)
     p_or.add_argument("--seed", type=int, default=0)
+    p_or.set_defaults(run=cmd_oracle_check)
 
     p_au = sub.add_parser("energy-audit", help="recompute the energy balance")
     p_au.add_argument("--out", required=True, help="trajectory directory")
+    p_au.set_defaults(run=cmd_energy_audit)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run one command; each takes its parsed options as keywords."""
+    args = vars(build_parser().parse_args(argv))
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out)
-        if args.command == "steady":
-            return cmd_steady(args.config, args.out)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(args.config, seed=args.seed)
-        if args.command == "energy-audit":
-            return cmd_energy_audit(args.out)
-        raise AssertionError(args.command)
+        return args.pop("run")(**args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

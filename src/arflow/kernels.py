@@ -208,13 +208,12 @@ def _datum_conv(profile, q, x, quad=None):
     """psi_q * omega at x: level 0 of the datum sum.
 
     The exact datum at q = 2 takes m (x - com)^2 plus omega's centred
-    second moment, by pieces, in O(n).
+    second moment, by pieces, in O(n), both pivoted on b_0.
     """
     if quad is None and q == 2.0:
-        com = profile.com()
-        b = profile.breakpoints - com
+        b = profile.centred(profile.breakpoints)
         spread = profile.densities @ (b[1:] ** 3 - b[:-1] ** 3) / 3.0
-        return profile.mass * (x - com) ** 2 + spread
+        return profile.mass * profile.centred(x) ** 2 + spread
     return _datum_sum(x, q, _datum_atoms(profile, quad), 0)
 
 
@@ -287,7 +286,7 @@ def attraction_U(pot, x):
     if pot.q_a == 1.0:
         out = 2.0 * np.asarray(profile.cdf(x)) - profile.mass
     elif pot.q_a == 2.0 and pot.quad is None:
-        out = 2.0 * profile.mass * (x - profile.com())
+        out = 2.0 * profile.mass * profile.centred(x)
     else:
         out = _datum_sum(x, pot.q_a, pot._atoms, -1)
     out = np.asarray(out)

@@ -131,11 +131,14 @@ class ReferenceProfile:
             raise ValueError("need at least two breakpoints")
         if d.shape != (b.size - 1,):
             raise ValueError("densities must have one entry per interval")
+        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(d))):
+            raise ValueError("breakpoints and densities must be finite")
         if np.any(np.diff(b) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         if np.any(d < 0):
             raise ValueError("densities must be nonnegative")
-        mass = float(np.sum(d * np.diff(b)))
+        piece_mass = d * np.diff(b)
+        mass = float(np.sum(piece_mass))
         if mass <= 0:
             raise ValueError("profile must have positive mass")
         b = b.copy()
@@ -147,14 +150,19 @@ class ReferenceProfile:
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "density_bound", float(np.max(d)))
         # cumulative mass at each breakpoint, c_0 = 0, c_K = mass
-        cum = np.concatenate([[0.0], np.cumsum(d * np.diff(b))])
+        cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
         cum[-1] = mass
         cum.setflags(write=False)
         object.__setattr__(self, "_cum_mass", cum)
         # (b_{k+1}^2 - b_k^2)/2 as width times midpoint, which loses no
         # digits far from the origin
-        first_moment = np.sum(d * np.diff(b) * (b[1:] + b[:-1]))
+        first_moment = np.sum(piece_mass * (b[1:] + b[:-1]))
         object.__setattr__(self, "_com", float(first_moment / (2.0 * mass)))
+        # com - b_0 for ``centred``, from the breakpoints relative to b_0,
+        # rounds with the datum's width, where com rounds with |com|
+        rel = b - b[0]
+        offset = np.sum(piece_mass * (rel[1:] + rel[:-1])) / (2.0 * mass)
+        object.__setattr__(self, "_com_offset", float(offset))
 
     @property
     def support(self):
@@ -189,6 +197,10 @@ class ReferenceProfile:
         """Center of mass, (1/m) * integral of x * density."""
         return self._com
 
+    def centred(self, x):
+        """x - com as (x - b_0) - (com - b_0), which rounds with the width."""
+        return (x - self.breakpoints[0]) - self._com_offset
+
     def abs_moment(self, r):
         """Exact integral of |x|^r against the density (not normalized)."""
         if r <= 0:
@@ -202,18 +214,23 @@ class ReferenceProfile:
         return float(np.sum(self.densities * (prim(b[1:]) - prim(b[:-1]))))
 
     @classmethod
+    def from_doc(cls, doc):
+        """A profile from its ``{"breakpoints": [...], "densities": [...]}``."""
+        return cls(doc["breakpoints"], doc["densities"])
+
+    def to_doc(self):
+        """The profile as the document ``from_doc`` reads."""
+        return {"breakpoints": self.breakpoints.tolist(),
+                "densities": self.densities.tolist()}
+
+    @classmethod
     def from_json(cls, path):
         with open(path) as fh:
-            doc = json.load(fh)
-        return cls(np.array(doc["breakpoints"]), np.array(doc["densities"]))
+            return cls.from_doc(json.load(fh))
 
     def to_json(self, path):
-        doc = {
-            "breakpoints": list(self.breakpoints),
-            "densities": list(self.densities),
-        }
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(self.to_doc(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

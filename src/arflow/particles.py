@@ -1,8 +1,10 @@
 """Discrete N-point energy and its gradient flow, used as an oracle.
 
-With particles pinned to the mass-grid midpoints, the (scaled) particle
-gradient coincides with the continuum right-hand side, so these routines
-re-derive the dynamics independently rather than re-simulating them.
+With particles pinned to the mass-grid midpoints, the particle system is the
+state itself: both routines take the ``InverseCDF`` X they check, with one
+particle at each node X(z_i).  Its (scaled) gradient coincides with the
+continuum right-hand side, so these routines re-derive the dynamics
+independently rather than re-simulating them.
 
 They sum full rows, both i < j and j < i, with the per-element formulas
 |d|^q and q sgn(d) |d|^{q-1}: no sorting and no closed forms, so they share
@@ -19,34 +21,11 @@ it by a sum over the quantile nodes.  The rows are tiled by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernels import _differences, _scratch_blocks
 
-__all__ = ["ParticleSystem", "discrete_energy", "particle_rhs"]
-
-
-@dataclass(frozen=True)
-class ParticleSystem:
-    positions: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.positions, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("positions must be a nonempty 1-d array")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("positions must be finite")
-        if np.any(np.diff(p) < 0):
-            raise ValueError("positions must be sorted nondecreasing")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "positions", p)
-
-    @property
-    def N(self):
-        return self.positions.size
+__all__ = ["discrete_energy", "particle_rhs"]
 
 
 def _row_sums(p, y, weights, q, kernel):
@@ -104,20 +83,20 @@ def _datum_sums(p, profile, q, quad, kernel, primitive):
     return _row_sums(p, ends, np.concatenate([rho, -rho]), q, primitive)
 
 
-def discrete_energy(sys, profile, exps, quad=None):
+def discrete_energy(X, profile, exps, quad=None):
     """E_N = -1/(2N^2) sum psi_r(p_i - p_j) + (1/N) sum (psi_a * omega)(p_i).
 
-    The datum term is exact unless ``quad`` is given.
+    The particles p_i are the nodes of the state X.  The datum term is
+    exact unless ``quad`` is given.
     """
-    p = sys.positions
-    N = sys.N
+    p = X.x_values
     rep = np.sum(_row_sums(p, p, None, exps.q_r, _psi))
     attr = np.sum(_datum_sums(p, profile, exps.q_a, quad, _psi, _primitive))
-    return float(-rep / (2.0 * N * N) + attr / N)
+    return float(-rep / (2.0 * X.n * X.n) + attr / X.n)
 
 
-def particle_rhs(sys, profile, exps, quad=None):
-    """Scaled steepest descent -N dE_N/dp_i; requires q_r > 1.
+def particle_rhs(X, profile, exps, quad=None):
+    """Scaled steepest descent -N dE_N/dp_i at the nodes p_i of X; q_r > 1.
 
     At q_r = 1 the repulsion gradient is set-valued whenever particles
     coincide, so that case is rejected.  The datum term is exact unless
@@ -125,8 +104,7 @@ def particle_rhs(sys, profile, exps, quad=None):
     """
     if exps.q_r == 1.0:
         raise ValueError("particle flow undefined for q_r = 1 (set-valued gradient)")
-    p = sys.positions
-    N = sys.N
-    rep = _row_sums(p, p, None, exps.q_r, _psi_prime) / N
+    p = X.x_values
+    rep = _row_sums(p, p, None, exps.q_r, _psi_prime) / X.n
     attr = _datum_sums(p, profile, exps.q_a, quad, _psi_prime, _psi)
     return rep - attr

@@ -49,7 +49,10 @@ class ShiftedProfile:
     window: tuple
 
 
-def invert_increasing(f, targets, lo, hi, tol=1e-12, max_expand=200):
+_MAX_EXPAND = 200  # bracket doublings before invert_increasing gives up
+
+
+def invert_increasing(f, targets, lo, hi, tol=1e-12):
     """Vectorized bisection solving f(x) = target for an increasing f.
 
     The bracket [lo, hi] is expanded geometrically until it straddles all
@@ -59,7 +62,7 @@ def invert_increasing(f, targets, lo, hi, tol=1e-12, max_expand=200):
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     width = max(hi - lo, 1.0)
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         if f(lo) <= targets.min() and f(hi) >= targets.max():
             break
         lo -= width

@@ -12,7 +12,6 @@ from arflow import (
     InverseCDF,
     IntegratorConfig,
     MassQuadrature,
-    ParticleSystem,
     ReferenceProfile,
     closed_form_q2,
     discrete_energy,
@@ -317,7 +316,7 @@ def test_criterion_11_oracle_equivalence():
         for _ in range(10):
             x = np.sort(rng.uniform(-2.0, 3.0, n))
             X = InverseCDF(x)
-            sys_ = ParticleSystem(x)
+            sys_ = InverseCDF(x)
             worst_rhs = max(worst_rhs, float(np.max(np.abs(
                 rhs(X, pot, exps) - particle_rhs(sys_, prof, exps, quad)))))
             worst_e = max(worst_e, abs(

@@ -236,12 +236,20 @@ class TestOracleCheck:
         assert cli.main(["oracle-check", "--config", str(cfg)]) == 0
         assert "pass" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("c", [99.5, 1e4, 1e6, 1e8])
-    def test_datum_far_from_origin(self, tmp_path, capsys, c):
+    @pytest.mark.parametrize("c,breaks,densities", [
+        *[pytest.param(c, [0.0, 1.0], [1.0], id=f"{c}")
+          for c in (99.5, 1e4, 1e6, 1e8)],
+        # com = c + 0.7 rounds at c, where the unit datum's c + 0.5 is exact
+        *[pytest.param(c, [0.1, 0.5, 1.3], [1.0, 0.75], id=f"two-piece-{c}")
+          for c in (1e4, 1e6, 1e8)],
+    ])
+    def test_datum_far_from_origin(self, tmp_path, capsys, c, breaks,
+                                   densities):
         # states are drawn around the datum, so the absolute 1e-12 check
         # does not meet the roundoff of |x - b| ~ c; the q_r = 2 repulsion
-        # is taken about a node, not about a mean that rounds at c
-        write_profile(tmp_path, [c, c + 1.0], [1.0])
+        # is taken about a node, and the exact q_a = 2 forms about b_0, not
+        # about a mean that rounds at c
+        write_profile(tmp_path, [c + b for b in breaks], densities)
         cfg = write_config(tmp_path, {
             "profile": "profile.json", "q_a": 1.5, "q_r": 1.5, "n": 200,
         })
@@ -378,6 +386,52 @@ class TestEnergyAudit:
                         str(tmp_path / "missing")]) == 4
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteProfile:
+    # NaN passes every ordering check of the profile, as each comparison
+    # with it is false, and an infinite breakpoint or density gives an
+    # infinite mass; both are rejected where the profile is built
+    PROFILES = [([0.0, 1.0], [NAN]), ([0.0, NAN], [1.0]),
+                ([0.0, 1.0], [INF]), ([-INF, 1.0], [1.0])]
+    IDS = ["nan-density", "nan-breakpoint", "inf-density", "inf-breakpoint"]
+
+    @pytest.mark.parametrize("breaks,densities", PROFILES, ids=IDS)
+    @pytest.mark.parametrize("command", ["simulate", "steady", "oracle-check"])
+    def test_config_exit_2_before_output(self, tmp_path, capsys, command,
+                                         breaks, densities):
+        write_profile(tmp_path, breaks, densities)
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.0, "n": 32,
+            "dt": 0.01, "t_end": 0.02,
+        })
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg)]
+        if command != "oracle-check":
+            argv += ["--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("breaks,densities", PROFILES, ids=IDS)
+    def test_inline_profile_exit_4(self, tmp_path, capsys, breaks, densities):
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 32,
+            "dt": 0.01, "t_end": 0.02,
+        })
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        doc = json.loads((out / "config.json").read_text())
+        doc["profile_inline"] = {"breakpoints": breaks, "densities": densities}
+        (out / "config.json").write_text(json.dumps(doc))
+        assert cli.main(["energy-audit", "--out", str(out)]) == 4
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out / "balance.json").exists()
+
+
 class TestInitialKinds:
     def test_csv_initial(self, tmp_path):
         from arflow import uniform_state
@@ -420,8 +474,10 @@ class TestInitialKinds:
         {"initial": {"kind": "csv"}},
         {"initial": ["uniform", 0.0, 1.0]},
         {"t_fit_lo": "x"},
+        {"n": 32.9},
+        {"record_every": 1.7},
     ], ids=["uniform-no-a", "uniform-a-eq-b", "csv-no-path", "not-object",
-            "t-fit-not-number"])
+            "t-fit-not-number", "n-not-integral", "record-every-not-integral"])
     def test_malformed_exit_2_before_output(self, tmp_path, capsys, doc):
         write_profile(tmp_path, [0.0, 1.0], [1.0])
         cfg = write_config(tmp_path, {

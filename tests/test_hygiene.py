@@ -123,3 +123,33 @@ def test_energetics_defines_no_lambda():
     lambdas = [node.lineno for node in ast.walk(energetics_tree())
                if isinstance(node, ast.Lambda)]
     assert lambdas == [], f"lambda at lines {lambdas}"
+
+
+def test_profile_document_has_one_owner():
+    # ReferenceProfile.from_doc and to_doc read and write the profile format
+    owners = [path.name for path in MODULES
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Constant)
+              and node.value in ("breakpoints", "densities")]
+    assert set(owners) == {"measures.py"}
+
+
+def test_simulate_reads_its_config_once():
+    # RunConfig keeps the document it parsed; config.json is written from it
+    tree = ast.parse((ROOT / "src" / "arflow" / "cli.py").read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "cmd_simulate")
+    opens = [node.lineno for node in ast.walk(func)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "open"]
+    assert opens == [], f"open called at lines {opens}"
+
+
+def test_no_particle_system():
+    # the particle oracle takes the InverseCDF it checks
+    found = [(path.name, node.lineno) for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef) and node.name == "ParticleSystem"
+             or isinstance(node, ast.Name) and node.id == "ParticleSystem"]
+    assert found == []

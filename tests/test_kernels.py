@@ -9,7 +9,6 @@ from arflow import (
     Exponents,
     InverseCDF,
     MassQuadrature,
-    ParticleSystem,
     ReferenceProfile,
     attraction_U,
     discrete_energy,
@@ -278,7 +277,7 @@ class TestMemoryCap:
     def test_particle_oracle_stays_small(self, uniform_profile):
         # one dense N x N float64 temporary would take 72 MB at N = 3000
         n = 3000
-        sys_ = ParticleSystem(uniform_state(-1.0, 2.0, n).x_values)
+        sys_ = InverseCDF(uniform_state(-1.0, 2.0, n).x_values)
         exps = Exponents(1.5, 1.3)
         calls = {
             "particle_rhs": lambda: particle_rhs(sys_, uniform_profile, exps),

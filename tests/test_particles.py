@@ -6,7 +6,6 @@ from arflow import (
     Exponents,
     InverseCDF,
     MassQuadrature,
-    ParticleSystem,
     ReferenceProfile,
     discrete_energy,
     energy,
@@ -16,20 +15,9 @@ from arflow import (
 from conftest import convolve_kernel, psi
 
 
-class TestParticleSystem:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ParticleSystem([1.0, 0.0])
-        with pytest.raises(ValueError):
-            ParticleSystem([0.0, np.inf])
-        with pytest.raises(ValueError):
-            ParticleSystem([])
-        assert ParticleSystem([0.0, 0.0, 1.0]).N == 3
-
-
 class TestDiscreteEnergy:
     def test_single_particle(self, uniform_profile):
-        sys_ = ParticleSystem([2.0])
+        sys_ = InverseCDF([2.0])
         quad = MassQuadrature.midpoint(uniform_profile, 200)
         e = discrete_energy(sys_, uniform_profile, Exponents(1.5, 1.5), quad)
         attr = convolve_kernel(
@@ -42,7 +30,7 @@ class TestDiscreteEnergy:
         x = np.sort(rng.uniform(-1.0, 4.0, n))
         quad = MassQuadrature.midpoint(gap_profile, n)
         for exps in (Exponents(1.7, 1.3), Exponents(2.0, 2.0)):
-            e_n = discrete_energy(ParticleSystem(x), gap_profile, exps, quad)
+            e_n = discrete_energy(InverseCDF(x), gap_profile, exps, quad)
             e_c = energy(InverseCDF(x), gap_profile, exps, quad)
             assert abs(e_n - e_c) <= 1e-12
 
@@ -50,13 +38,13 @@ class TestDiscreteEnergy:
         # omega uniform, mass 1, symmetric about the pair midpoint
         prof = ReferenceProfile([-0.5, 0.5], [1.0])
         d = 0.6
-        sys_ = ParticleSystem([-d / 2.0, d / 2.0])
+        sys_ = InverseCDF([-d / 2.0, d / 2.0])
         exps = Exponents(1.5, 1.5)
         quad = MassQuadrature.midpoint(prof, 400)
         e = discrete_energy(sys_, prof, exps, quad)
         attr = np.mean([
             convolve_kernel(prof, quad, lambda u: psi(1.5, u), p)
-            for p in sys_.positions
+            for p in sys_.x_values
         ])
         assert e - attr == pytest.approx(-(d**1.5) / 4.0, abs=1e-12)
 
@@ -70,28 +58,28 @@ class TestParticleRhs:
         for _ in range(5):
             x = np.sort(rng.uniform(-2.0, 3.0, n))
             v_dyn = rhs(InverseCDF(x), pot, exps)
-            v_par = particle_rhs(ParticleSystem(x), uniform_profile, exps, quad)
+            v_par = particle_rhs(InverseCDF(x), uniform_profile, exps, quad)
             assert np.max(np.abs(v_dyn - v_par)) <= 1e-12
 
     def test_rejects_qr1(self, uniform_profile):
         with pytest.raises(ValueError):
-            particle_rhs(ParticleSystem([0.0, 1.0]), uniform_profile,
+            particle_rhs(InverseCDF([0.0, 1.0]), uniform_profile,
                          Exponents(1.5, 1.0))
 
     def test_finite_difference_gradient(self, uniform_profile):
         p = np.array([-0.8, 0.1, 0.4, 1.3])
         exps = Exponents(1.8, 1.6)
         quad = MassQuadrature.midpoint(uniform_profile, 300)
-        v = particle_rhs(ParticleSystem(p), uniform_profile, exps, quad)
+        v = particle_rhs(InverseCDF(p), uniform_profile, exps, quad)
         h = 1e-6
         for i in range(p.size):
             up = p.copy()
             dn = p.copy()
             up[i] += h
             dn[i] -= h
-            e_up = discrete_energy(ParticleSystem(np.sort(up)),
+            e_up = discrete_energy(InverseCDF(np.sort(up)),
                                    uniform_profile, exps, quad)
-            e_dn = discrete_energy(ParticleSystem(np.sort(dn)),
+            e_dn = discrete_energy(InverseCDF(np.sort(dn)),
                                    uniform_profile, exps, quad)
             grad = (e_up - e_dn) / (2.0 * h)
             assert -p.size * grad == pytest.approx(v[i], abs=1e-6)
@@ -100,7 +88,7 @@ class TestParticleRhs:
         prof = ReferenceProfile([-1.0, 1.0], [0.5])
         p = np.array([-0.7, 0.7])
         quad = MassQuadrature.midpoint(prof, 500)
-        v = particle_rhs(ParticleSystem(p), prof, Exponents(1.6, 1.4), quad)
+        v = particle_rhs(InverseCDF(p), prof, Exponents(1.6, 1.4), quad)
         assert v[0] == pytest.approx(-v[1], abs=1e-10)
 
 
@@ -117,7 +105,7 @@ class TestExactOracle:
         for _ in range(3):
             x = np.sort(prof.com() + rng.uniform(-2.0, 3.0, n))
             X = InverseCDF(x)
-            sys_ = ParticleSystem(x)
+            sys_ = InverseCDF(x)
             assert np.max(np.abs(rhs(X, pot, exps)
                                  - particle_rhs(sys_, prof, exps))) <= 1e-12
             assert abs(energy(X, prof, exps)
@@ -128,7 +116,7 @@ class TestExactOracle:
     def test_quadrature_converges_to_exact(self, request, rng, name, q_a, q_r):
         prof = request.getfixturevalue(name)
         exps = Exponents(q_a, q_r)
-        sys_ = ParticleSystem(np.sort(prof.com() + rng.uniform(-2.0, 3.0, 60)))
+        sys_ = InverseCDF(np.sort(prof.com() + rng.uniform(-2.0, 3.0, 60)))
         v = particle_rhs(sys_, prof, exps)
         e = discrete_energy(sys_, prof, exps)
         err_v, err_e = [], []
@@ -166,7 +154,7 @@ class TestBlockedOracle:
             -np.sum(np.abs(d) ** q_r) / (2.0 * n * n)
             + np.sum(np.sum(w * np.abs(dy) ** q_a, axis=1)) / n
         )
-        sys_ = ParticleSystem(p)
+        sys_ = InverseCDF(p)
         exps = Exponents(q_a, q_r)
         v = particle_rhs(sys_, gap_profile, exps, quad)
         assert v.tobytes() == rhs_dense.tobytes()
@@ -192,15 +180,15 @@ class TestParticleFlow:
             order = np.argsort(q, kind="stable")
             v = np.empty_like(q)
             v[order] = particle_rhs(
-                ParticleSystem(q[order]), uniform_profile, exps, quad
+                InverseCDF(q[order]), uniform_profile, exps, quad
             )
             return v
 
-        energies = [discrete_energy(ParticleSystem(p), uniform_profile,
+        energies = [discrete_energy(InverseCDF(p), uniform_profile,
                                     exps, quad)]
         for _ in range(200):
             p = self._rk4(p, 0.02, f)
             assert np.all(np.diff(p) >= 0)
-            energies.append(discrete_energy(ParticleSystem(p),
+            energies.append(discrete_energy(InverseCDF(p),
                                             uniform_profile, exps, quad))
         assert np.all(np.diff(energies) <= 1e-10)
