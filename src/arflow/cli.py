@@ -116,7 +116,8 @@ def _initial(initial, base, profile, n):
 
 
 def fit_exponential_rate(t, y, t_lo, t_hi, floor=1e-300):
-    """OLS slope of log y over [t_lo, t_hi], with R^2."""
+    """OLS slope of log y over [t_lo, t_hi] on the samples above ``floor``,
+    with R^2; (None, None) with fewer than two such samples."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     mask = (t >= t_lo) & (t <= t_hi) & (y > floor)
@@ -129,6 +130,28 @@ def fit_exponential_rate(t, y, t_lo, t_hi, floor=1e-300):
     ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return float(slope), r2
+
+
+def _rate_fit(cfg, t, y, scale):
+    """Rate, R^2 and the record of the fit of an error y(t) of size ``scale``.
+
+    Samples at or below the roundoff floor 64 eps max(1, scale) are
+    dropped.  The default window is the later half of the samples above
+    it; ``t_fit_lo`` and ``t_fit_hi`` each replace their end of it.
+    """
+    floor = float(64 * np.finfo(float).eps * max(1.0, scale))
+    above = t[y > floor]
+    t_lo, t_hi, kept = cfg.t_fit_lo, cfg.t_fit_hi, 0
+    if above.size:
+        t_lo = float(above[above.size // 2]) if t_lo is None else t_lo
+        t_hi = float(above[-1]) if t_hi is None else t_hi
+        kept = int(np.count_nonzero((above >= t_lo) & (above <= t_hi)))
+    fit = {"floor": floor, "t_lo": t_lo, "t_hi": t_hi, "samples": kept}
+    if kept < 2:
+        fit["reason"] = (f"{kept} sample(s) above the roundoff floor in "
+                         f"the window; a rate needs 2")
+        return None, None, fit
+    return (*fit_exponential_rate(t, y, t_lo, t_hi, floor), fit)
 
 
 def _write_json(path, doc):
@@ -170,16 +193,14 @@ def cmd_simulate(config, out):
                 {**cfg.doc, "profile_inline": cfg.profile.to_doc()})
 
     times = traj.times
-    t_hi = cfg.t_fit_hi if cfg.t_fit_hi is not None else float(times[-1])
-    t_lo = cfg.t_fit_lo if cfg.t_fit_lo is not None else t_hi / 2.0
-    com_err = np.array(
-        [abs(s.X.mean() - cfg.profile.com()) for s in traj.states]
-    )
-    rate_com, r2_com = fit_exponential_rate(times, com_err, t_lo, t_hi)
+    com = cfg.profile.com()
+    com_err = np.array([abs(s.X.mean() - com) for s in traj.states])
+    rate_com, r2_com, fit_com = _rate_fit(cfg, times, com_err, abs(com))
 
     summary = {
         "rate_com": rate_com,
         "r2_com": r2_com,
+        "fit_com": fit_com,
         "min_dissipation": min(r.D for r in reports),
         "slope_certificate": traj.slope_certificate,
         "final_energy": reports[-1].E,
@@ -191,7 +212,9 @@ def cmd_simulate(config, out):
         ss = steady.steady_qr1(cfg.profile, cfg.exps.q_a, cfg.n)
         if ss.kind != "none_exists":
             w2 = [wasserstein(s.X, ss.Xstar, 2.0) for s in traj.states]
-            rate_w2, r2_w2 = fit_exponential_rate(times, np.array(w2), t_lo, t_hi)
+            rate_w2, r2_w2, fit_w2 = _rate_fit(
+                cfg, times, np.array(w2),
+                float(np.max(np.abs(ss.Xstar.x_values))))
             summary.update(
                 {
                     "final_w2_to_steady": w2[-1],
@@ -200,6 +223,7 @@ def cmd_simulate(config, out):
                     ),
                     "rate_w2": rate_w2,
                     "r2_w2": r2_w2,
+                    "fit_w2": fit_w2,
                 }
             )
     _write_json(out / "summary.json", summary)
@@ -258,26 +282,35 @@ def cmd_oracle_check(config, seed):
     # states around the datum: the check is absolute, and far from the
     # origin roundoff in the datum terms grows with |x|
     centre = cfg.profile.com()
-    worst_rhs = 0.0
-    worst_energy = 0.0
+    worst_rhs = worst_energy = 0.0
+    # the largest |value| compared, to put the absolute differences to scale
+    scale_rhs = scale_energy = 0.0
     for q_a, q_r in ORACLE_PAIRS:
         exps = Exponents(q_a, q_r)
         pot = AttractionPotential(cfg.profile, q_a)
         for _ in range(ORACLE_CASES):
             X = InverseCDF(np.sort(centre + rng.uniform(-2.0, 3.0, cfg.n)))
-            dv = np.max(np.abs(rhs(X, pot, exps) -
-                               particle_rhs(X, cfg.profile, exps)))
-            de = abs(
-                energetics.energy(X, cfg.profile, exps)
-                - discrete_energy(X, cfg.profile, exps)
-            )
+            v = particle_rhs(X, cfg.profile, exps)
+            e = discrete_energy(X, cfg.profile, exps)
+            dv = np.max(np.abs(rhs(X, pot, exps) - v))
+            de = abs(energetics.energy(X, cfg.profile, exps) - e)
             worst_rhs = max(worst_rhs, float(dv))
             worst_energy = max(worst_energy, float(de))
+            scale_rhs = max(scale_rhs, float(np.max(np.abs(v))))
+            scale_energy = max(scale_energy, abs(float(e)))
+    # the gate is absolute, which assumes unit-scale data
     passed = worst_rhs <= 1e-12 and worst_energy <= 1e-12
-    print(f"oracle-check: max rhs diff {worst_rhs:.3e}, "
-          f"max energy diff {worst_energy:.3e} -> "
+    print(f"oracle-check: max rhs diff {worst_rhs:.3e} "
+          f"(rel {_relative(worst_rhs, scale_rhs):.3e}), "
+          f"max energy diff {worst_energy:.3e} "
+          f"(rel {_relative(worst_energy, scale_energy):.3e}) -> "
           f"{'pass' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_CHECK_FAILED
+
+
+def _relative(diff, scale):
+    """diff / scale, and 0 where both are 0."""
+    return diff / scale if scale else diff
 
 
 def _read_state(path):

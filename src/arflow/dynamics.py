@@ -205,14 +205,16 @@ def simulate(X0, profile, exps, cfg, quad=None, callback=None):
 def closed_form_q2(X0, profile, t):
     """Exact solution for q_a = q_r = 2.
 
-    X(t,z) = e^{-2(m-1)t} (X0(z) - (1 - e^{-2t}) mean X0)
-             + (1 - e^{-2mt})/m * integral of Y,
-    with the Y-integral in closed form (m times the center of mass).
+    X(t,z) = com + e^{-2(m-1)t} (X0(z) - com - (1 - e^{-2t}) (mean X0 - com)),
+    taken about b_0: with u = X0 - b_0 and com - b_0 from the breakpoints
+    relative to b_0, every term rounds with the spread, not with |x|, and
+    only adding b_0 back rounds at ulp(|x|).
     """
     m = profile.mass
-    mean0 = X0.mean()
-    int_y = m * profile.com()
-    x = np.exp(-2.0 * (m - 1.0) * t) * (
-        X0.x_values - (1.0 - np.exp(-2.0 * t)) * mean0
-    ) + (1.0 - np.exp(-2.0 * m * t)) / m * int_y
+    b0 = profile.breakpoints[0]
+    u = X0.x_values - b0
+    com_offset = -profile.centred(b0)  # com - b_0, exactly
+    grow = np.exp(-2.0 * (m - 1.0) * t)
+    x = b0 + (grow * (u + np.expm1(-2.0 * t) * np.mean(u))
+              - np.expm1(-2.0 * m * t) * com_offset)
     return InverseCDF(x)

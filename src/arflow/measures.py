@@ -30,15 +30,21 @@ def midpoint_grid(n):
     return (np.arange(n) + 0.5) / n
 
 
-@functools.lru_cache(maxsize=1)
-def _grid_text(n):
-    """The z column of a state CSV: ``"%.17g,"`` of each grid node z_i.
+_CSV_CHUNK = 512  # rows per formatted chunk of a state CSV
 
-    Every snapshot of a run shares its grid, and formatting a float to 17
-    digits is most of the cost of a CSV line, so the column is formatted
-    once per grid size.  A tuple, as the cache hands it to every caller.
+
+@functools.lru_cache(maxsize=1)
+def _csv_templates(n):
+    """The body of a state CSV on the grid of n nodes, as ``%`` templates.
+
+    Each row is ``"<z_i>,%.17g\\n"`` with z_i already formatted to 17
+    digits, and the rows are joined in chunks of ``_CSV_CHUNK``.  Every
+    snapshot of a run shares its grid, so the z column is formatted once
+    per grid size, and a snapshot's x column takes one ``%`` per chunk.
     """
-    return tuple("%.17g," % z for z in midpoint_grid(n).tolist())
+    rows = ["%.17g,%%.17g\n" % z for z in midpoint_grid(n).tolist()]
+    return tuple("".join(rows[k:k + _CSV_CHUNK])
+                 for k in range(0, n, _CSV_CHUNK))
 
 
 @dataclass(frozen=True)
@@ -84,14 +90,15 @@ class InverseCDF:
         """Write the header ``z,x`` and one ``%.17g`` row per node.
 
         This is csv.writer's rendering, as no %.17g field needs quoting.
-        The z column comes formatted from ``_grid_text``; only x is
-        formatted per call.  Lines are streamed, as one joined string
-        raised the peak RSS.
+        Each chunk of rows is one ``%`` on its ``_csv_templates`` text.
+        Chunks are written one by one, as one joined string raised the
+        peak RSS.
         """
-        xs = ("%.17g\n" % x for x in self.x_values.tolist())
+        xs = tuple(self.x_values.tolist())
         with open(path, "w", newline="") as fh:
             fh.write("z,x\n")
-            fh.writelines(map(str.__add__, _grid_text(self.n), xs))
+            for k, template in enumerate(_csv_templates(self.n)):
+                fh.write(template % xs[k * _CSV_CHUNK:(k + 1) * _CSV_CHUNK])
 
     @classmethod
     def from_csv(cls, path):
@@ -100,15 +107,12 @@ class InverseCDF:
             if header[:2] != ["z", "x"]:
                 raise ValueError(f"unexpected CSV header {header!r}")
             # an empty body would make loadtxt warn "input contained no data"
-            body = fh.tell()
             while not (line := fh.readline()).partition("#")[0].strip():
                 if not line:
                     raise ValueError("CSV has no data rows")
-                body = fh.tell()
-            fh.seek(body)
-            # numpy's C parser reads the x column in bulk, and in chunks, so
-            # it is faster than a csv.reader row per line at no more memory
-            xs = np.loadtxt(fh, delimiter=",", usecols=1, ndmin=1)
+        # given a path, numpy's C reader takes the file in blocks; given a
+        # handle, it would iterate over its lines
+        xs = np.loadtxt(path, delimiter=",", usecols=1, ndmin=1, skiprows=1)
         return cls(xs)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arflow import cli, energetics, kernels
+from arflow import InverseCDF, cli, energetics, kernels
 
 SRC = str(Path(cli.__file__).resolve().parent.parent)
 
@@ -68,6 +69,46 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["w2_nonincreasing"] is True
         assert summary["final_w2_to_steady"] < 1e-3
+
+    @pytest.mark.parametrize("c", [0.0, 1e6])
+    def test_rate_fit_skips_roundoff_floor(self, tmp_path, c):
+        # the com error falls to the roundoff floor by t = 10 at c = 0 and
+        # by t = 5 at c = 1e6, where positions round at ulp(1e6); the
+        # default window is the later half of the samples above the floor
+        write_profile(tmp_path, [c, c + 1.0], [2.0])
+        run = {"profile": "profile.json", "q_a": 1.6, "q_r": 1.3, "n": 200,
+               "dt": 0.02, "t_end": 20.0, "record_every": 50}
+        cfg = write_config(tmp_path, {**run, "initial": {
+            "kind": "uniform", "a": c + 0.5, "b": c + 1.5}})
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        fit = summary["fit_com"]
+        assert fit["floor"] == 64 * np.finfo(float).eps * max(1.0, c + 0.5)
+        index = json.loads((out / "index.json").read_text())
+        times = np.array(index["times"])
+        err = np.array([abs(InverseCDF.from_csv(out / f).mean() - (c + 0.5))
+                        for f in index["files"]])
+        above = times[err > fit["floor"]]
+        window = (times >= fit["t_lo"]) & (times <= fit["t_hi"])
+        assert np.all(err[window] > fit["floor"])
+        assert fit["samples"] == np.count_nonzero(window) >= 2
+        assert (fit["t_lo"], fit["t_hi"]) == (above[above.size // 2],
+                                              above[-1])
+        assert summary["rate_com"] < 0 and summary["r2_com"] >= 0.99
+        if c == 0.0:
+            # the window t = 5 to 9 gives the asymptotic rate
+            assert summary["rate_com"] == pytest.approx(-2.5, abs=0.1)
+
+        # a sampled datum starts at the floor: no rate, and a reason
+        cfg = write_config(tmp_path, {**run, "initial": {"kind": "profile"}})
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rate_com"] is None and summary["r2_com"] is None
+        assert summary["fit_com"]["samples"] == 0
+        assert "floor" in summary["fit_com"]["reason"]
 
     def test_bad_exponent_exit_2(self, tmp_path, capsys):
         write_profile(tmp_path, [0.0, 1.0], [1.0])
@@ -255,6 +296,23 @@ class TestOracleCheck:
         })
         assert cli.main(["oracle-check", "--config", str(cfg)]) == 0
         assert "pass" in capsys.readouterr().out
+
+    def test_reports_relative_difference(self, tmp_path, capsys):
+        # a datum of mass 3000: the terms reach about 1e4, so their roundoff
+        # fails the absolute 1e-12 gate, which assumes unit-scale data;
+        # relative to the largest value compared it is at roundoff
+        write_profile(tmp_path, [0.0, 30.0], [100.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.5, "n": 50,
+            "dt": 1e-6,
+        })
+        assert cli.main(["oracle-check", "--config", str(cfg)]) == 1
+        line = capsys.readouterr().out
+        absolute = [float(v) for v in re.findall(r"diff (\S+) \(", line)]
+        relative = [float(v) for v in re.findall(r"\(rel (\S+)\)", line)]
+        assert len(absolute) == len(relative) == 2
+        assert max(absolute) > 1e-12
+        assert max(relative) <= 1e-14
 
     def test_fresh_process_skips_numpy_random(self, tmp_path):
         # the states come from a private splitmix64, so oracle-check pays

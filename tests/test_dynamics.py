@@ -11,6 +11,7 @@ from arflow import (
     InverseCDF,
     IntegratorConfig,
     MonotonicityError,
+    ReferenceProfile,
     closed_form_q2,
     rhs,
     simulate,
@@ -294,3 +295,21 @@ class TestClosedForm:
         e2 = np.max(np.abs(closed_form_q2(X0, dense2_profile, 5.0).x_values - com))
         # log-error slope -2(m-1) = -2
         assert np.log(e2 / e1) == pytest.approx(-2.0, abs=1e-2)
+
+    @pytest.mark.parametrize("c", [1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("breaks, densities", [
+        ([0.1, 0.5, 1.3], [1.0, 0.75]),       # m = 1, com not representable
+        ([0.0, 1.0, 2.5], [2.0, 0.3]),        # m = 2.45, contracting
+        ([0.0, 0.7, 1.9, 2.0], [0.3, 0.0, 4.0]),  # m = 0.61, expanding
+    ], ids=["unit-mass", "heavy", "light"])
+    def test_translation_at_storage_floor(self, rng, c, breaks, densities):
+        # the solution is taken about b_0, so a common offset c costs only
+        # the rounding of storing x; far is near translated exactly
+        far = ReferenceProfile(np.array(breaks) + c, densities)
+        near = ReferenceProfile(far.breakpoints - c, densities)
+        X_far = InverseCDF(np.sort(rng.uniform(-2.0, 3.0, 200)) + c)
+        X_near = InverseCDF(X_far.x_values - c)
+        for t in (0.1, 1.0, 5.0):
+            b = closed_form_q2(X_far, far, t).x_values
+            a = closed_form_q2(X_near, near, t).x_values + c
+            assert np.all(np.abs(b - a) <= 1.1 * np.spacing(np.abs(b)))

@@ -19,7 +19,7 @@ from arflow import (
 from arflow.dynamics import repulsion_direct
 from arflow.energetics import self_energy_constant
 from arflow.kernels import _BLOCK_ELEMS, _datum_atoms, _datum_sum, \
-    _differences, _half_triangle, _pow, _scratch_blocks
+    _differences, _half_triangle, _pair_sum, _pow, _scratch_blocks
 from conftest import psi, psi_double_prime, psi_prime
 
 
@@ -250,6 +250,25 @@ class TestDatumSum:
               - _datum_sum(x - h, 1.5, atoms, level)) / (2.0 * h)
         assert np.allclose(fd, _datum_sum(x, 1.5, atoms, level - 1),
                            rtol=1e-8, atol=1e-8)
+
+
+class TestPairSumFarFromOrigin:
+    """The q = 1, 2 closed forms of ``_pair_sum`` far from the origin.
+
+    They centre x on a weighted mean that rounds at ulp(c), and need no
+    pivot: the error of the mean cancels to first order.  At q = 2 it
+    multiplies sum_i w_i (x_i - mean), which is zero; at q = 1 the rank
+    weights 2 cum_i - w_i - total, which sum to zero against w.
+    """
+
+    @pytest.mark.parametrize("c", [1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_translation(self, rng, q, c):
+        for w in (np.full(200, 1.0 / 200), rng.uniform(0.1, 1.0, 200)):
+            far = np.sort(rng.uniform(-2.0, 3.0, 200)) + c
+            near = far - c  # exact, so far is near translated by c
+            a, b = _pair_sum(near, w, q), _pair_sum(far, w, q)
+            assert abs(b - a) <= 1.6e-15 * abs(a)
 
 
 class TestMemoryCap:

@@ -14,7 +14,7 @@ from arflow import (
     uniform_state,
     wasserstein,
 )
-from arflow.measures import midpoint_grid
+from arflow.measures import _CSV_CHUNK, midpoint_grid
 from conftest import convolve_kernel
 
 
@@ -220,10 +220,26 @@ class TestInverseCDF:
         back = InverseCDF.from_csv(path)
         assert back.x_values.tobytes() == a.x_values.tobytes()
 
-    def test_csv_grid_text_follows_n(self, tmp_path):
-        # the z column is cached per grid size: writing n = 3, 5, 3 in one
-        # process must not carry one grid's text into the next
-        for i, n in enumerate([3, 5, 3]):
+    @pytest.mark.parametrize("n", [1, _CSV_CHUNK - 1, _CSV_CHUNK,
+                                   _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 1, 3200])
+    def test_csv_bytes_across_chunks(self, tmp_path, n):
+        # the awkward values land in the first chunk, the last and between
+        awkward = [-1e300, -0.0, 1e-300, 1e300]
+        x = np.sort(np.concatenate([awkward,
+                                    np.linspace(-3.0, 3.0, max(n - 4, 0))]))
+        a = InverseCDF(x[-n:])
+        path = tmp_path / "state.csv"
+        a.to_csv(path)
+        assert path.read_bytes() == csv_writer_bytes(a)
+        back = InverseCDF.from_csv(path)
+        assert back.x_values.tobytes() == a.x_values.tobytes()
+
+    def test_csv_templates_follow_n(self, tmp_path):
+        # the row templates are cached per grid size: writing n = 3, then
+        # chunked sizes, then 3 in one process must not carry one grid's
+        # text into the next
+        sizes = [3, 2 * _CSV_CHUNK + 1, _CSV_CHUNK + 1, 3]
+        for i, n in enumerate(sizes):
             a = uniform_state(-1.0 - i, 2.0 + i, n)
             path = tmp_path / f"state{i}.csv"
             a.to_csv(path)
@@ -239,6 +255,16 @@ class TestInverseCDF:
         path = tmp_path / "ragged.csv"
         path.write_text("z,x\n0.25,0.0\n0.75\n")
         with pytest.raises(ValueError):
+            InverseCDF.from_csv(path)
+
+    # the test config turns warnings into errors, so these also check that
+    # loadtxt's "input contained no data" warning is not raised
+    @pytest.mark.parametrize("text", ["z,x\n", "z,x\n# comment\n\n"],
+                             ids=["empty", "comment-only"])
+    def test_csv_no_data_rows(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no data rows"):
             InverseCDF.from_csv(path)
 
 
