@@ -17,7 +17,7 @@ import numpy as np
 
 from . import energetics, steady
 from .dynamics import IntegratorConfig, MonotonicityError, rhs, simulate
-from .kernels import AttractionPotential, Exponents, lipschitz_bound
+from .kernels import AttractionPotential, Exponents
 from .measures import InverseCDF, ReferenceProfile, sample_profile, \
     uniform_state, wasserstein
 from .particles import discrete_energy, particle_rhs
@@ -38,7 +38,7 @@ class RunConfig:
     doc: dict
     profile: ReferenceProfile
     exps: Exponents
-    initial: functools.partial
+    initial: InverseCDF
     n: int
     integrator: IntegratorConfig
     t_fit_lo: float | None
@@ -66,7 +66,6 @@ class RunConfig:
                 safety=float(doc.get("safety", 0.5)),
                 record_every=_integer(doc, "record_every", 1),
             )
-            integrator.check_guard(lipschitz_bound(profile, exps.q_a))
             fit = {key: None if doc.get(key) is None else float(doc[key])
                    for key in ("t_fit_lo", "t_fit_hi")}
             return cls(
@@ -84,7 +83,8 @@ class RunConfig:
             raise ConfigError(f"invalid config: {exc}") from exc
 
     def initial_state(self):
-        return self.initial()
+        """The initial state, under the name ``bench/worker.py`` calls."""
+        return self.initial
 
 
 def _integer(doc, key, default):
@@ -96,22 +96,21 @@ def _integer(doc, key, default):
 
 
 def _initial(initial, base, profile, n):
-    """Checked builder of the initial state; a bad CSV fails in it (exit 4)."""
+    """The initial state on n nodes; a missing or corrupt CSV is exit 4."""
     if not isinstance(initial, dict):
         raise ConfigError(f"initial must be an object, got {initial!r}")
     kind = initial.get("kind", "profile")
     if kind == "uniform":
-        a, b = float(initial["a"]), float(initial["b"])
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
-            raise ConfigError(f"uniform initial needs finite a < b, "
-                              f"got a={a}, b={b}")
-        return functools.partial(uniform_state, a, b, n)
+        return uniform_state(float(initial["a"]), float(initial["b"]), n)
     if kind == "csv":
         if not isinstance(initial.get("path"), str):
             raise ConfigError("csv initial needs a string path")
-        return functools.partial(_read_state, base / initial["path"])
+        X = _read_state(base / initial["path"])
+        if X.n != n:
+            raise ConfigError(f"csv initial has {X.n} nodes, n is {n}")
+        return X
     if kind == "profile":
-        return functools.partial(sample_profile, profile, n)
+        return sample_profile(profile, n)
     raise ConfigError(f"unknown initial condition kind {kind!r}")
 
 
@@ -162,10 +161,6 @@ def _write_json(path, doc):
 
 def cmd_simulate(config, out):
     cfg = RunConfig.load(config)
-    X0 = cfg.initial_state()
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-
     reports = []
 
     def record(state):
@@ -173,8 +168,16 @@ def cmd_simulate(config, out):
             energetics.make_report(state.t, state.X, cfg.profile, cfg.exps)
         )
 
-    traj = simulate(X0, cfg.profile, cfg.exps, cfg.integrator, callback=record)
-
+    try:
+        traj = simulate(cfg.initial, cfg.profile, cfg.exps, cfg.integrator,
+                        callback=record)
+    except ValueError as exc:  # a tied initial state or the step-size guard
+        raise ConfigError(str(exc)) from exc
+    ss = (steady.steady_qr1(cfg.profile, cfg.exps.q_a, cfg.n)
+          if cfg.exps.q_r == 1.0 else None)
+    # a run that fails writes nothing
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
     files = []
     for i, state in enumerate(traj.states):
         name = f"snapshot_{i:04d}.csv"
@@ -208,24 +211,20 @@ def cmd_simulate(config, out):
         if len(reports) >= 2
         else None,
     }
-    if cfg.exps.q_r == 1.0:
-        ss = steady.steady_qr1(cfg.profile, cfg.exps.q_a, cfg.n)
-        if ss.kind != "none_exists":
-            w2 = [wasserstein(s.X, ss.Xstar, 2.0) for s in traj.states]
-            rate_w2, r2_w2, fit_w2 = _rate_fit(
-                cfg, times, np.array(w2),
-                float(np.max(np.abs(ss.Xstar.x_values))))
-            summary.update(
-                {
-                    "final_w2_to_steady": w2[-1],
-                    "w2_nonincreasing": bool(
-                        np.all(np.diff(w2) <= 1e-10)
-                    ),
-                    "rate_w2": rate_w2,
-                    "r2_w2": r2_w2,
-                    "fit_w2": fit_w2,
-                }
-            )
+    if ss is not None and ss.kind != "none_exists":
+        w2 = [wasserstein(s.X, ss.Xstar, 2.0) for s in traj.states]
+        rate_w2, r2_w2, fit_w2 = _rate_fit(
+            cfg, times, np.array(w2),
+            float(np.max(np.abs(ss.Xstar.x_values))))
+        summary.update(
+            {
+                "final_w2_to_steady": w2[-1],
+                "w2_nonincreasing": bool(np.all(np.diff(w2) <= 1e-10)),
+                "rate_w2": rate_w2,
+                "r2_w2": r2_w2,
+                "fit_w2": fit_w2,
+            }
+        )
     _write_json(out / "summary.json", summary)
     return EXIT_OK
 
@@ -236,9 +235,9 @@ def cmd_steady(config, out):
         raise ConfigError(
             f"steady builds only the q_r = 1 equilibrium, got q_r={cfg.exps.q_r}"
         )
+    ss = steady.steady_qr1(cfg.profile, cfg.exps.q_a, cfg.n)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    ss = steady.steady_qr1(cfg.profile, cfg.exps.q_a, cfg.n)
     if ss.Xstar is not None:
         ss.Xstar.to_csv(out / "steady.csv")
     _write_json(

@@ -179,13 +179,15 @@ def simulate(X0, profile, exps, cfg, quad=None, callback=None):
     Also tracks the slope-condition certificate: the running minimum over
     snapshots of min_slope(t) e^{+lambda t} relative to the initial slope.
     ``callback(state)`` is invoked on every recorded state.  The drift is
-    exact unless a ``quad`` is passed.
+    exact unless a ``quad`` is passed.  A tied X0 or a dt that breaks the
+    step-size guard raises ValueError before the first callback.
     """
-    if X0.min_slope() <= 0:
-        raise ValueError("initial state must have strictly positive min slope")
-    pot = AttractionPotential(profile, exps.q_a, quad)
     state = FlowState.initial(X0)
     alpha = state.min_slope
+    if alpha <= 0:
+        raise ValueError("initial state must have strictly positive min slope")
+    pot = AttractionPotential(profile, exps.q_a, quad)
+    cfg.check_guard(pot.lam)
     states = [state]
     cert = 1.0
     if callback is not None:

@@ -9,13 +9,13 @@ sorted state through the pair-sum helpers of ``kernels``.  The Fourier form
 evaluates the same quadratic energy through characteristic functions.  On
 that side every measure is a set of pieces (centre, mass, width): the
 datum's own pieces, uniform on their widths, or point masses (width None),
-which are the state's nodes, a quadrature's nodes or delta_0.  One sum over
+which are the state's nodes or a quadrature's nodes.  One sum over
 the pieces gives each transform, one formula their moments, and one helper
 integrates the difference of two transforms over xi, on Gauss-Legendre
 panels uniform in ln xi, with an error bound that holds the truncated head
 and tail and the rule's own error.  The moment certificates turn the
 a-priori bounds on energy sublevels into checkable per-snapshot
-inequalities.
+inequalities; they take their Fourier-side term exactly, in real space.
 """
 
 from __future__ import annotations
@@ -169,8 +169,7 @@ def _datum_pieces(profile, quad=None, shift=0.0):
 
     On the Fourier side every measure is such a set of pieces: mass m
     spread uniformly over [c - w/2, c + w/2], or a point mass where the
-    widths are None.  The masses are one per piece, or one scalar total
-    that the pieces share equally, as for the state.  The datum is exact by
+    widths are None, with one mass per piece.  The datum is exact by
     pieces unless ``quad`` is given: piece k of density rho_k on
     [b_k, b_k + w_k] has centre b_k + w_k/2 and mass rho_k w_k.  A ``quad``
     gives the point masses of ``kernels._datum_atoms``.
@@ -192,8 +191,6 @@ def _char_fn(pieces, xi):
     xi-row blocks under the kernel memory cap.
     """
     centre, mass, width = pieces
-    if np.ndim(mass) == 0:
-        mass = np.full(centre.size, mass / centre.size)
     out = np.empty(xi.size, dtype=complex)
     temps = 2 if width is None else 3
     for rows, *amp, phase, trig in _scratch_blocks(xi.size, centre.size,
@@ -217,8 +214,6 @@ def _moments(pieces):
     centre, mass, width = pieces
     w2 = 0.0 if width is None else width**2
     terms = (centre, centre**2 + w2 / 12.0, centre**3 + centre * w2 / 4.0)
-    if np.ndim(mass) == 0:
-        return tuple(mass * float(np.mean(t)) for t in terms)
     return tuple(float(mass @ t) for t in terms)
 
 
@@ -296,7 +291,7 @@ def fourier_energy(X, profile, q, quad=None):
     if abs(profile.mass - 1.0) > 1e-12:
         raise ValueError("fourier energy requires a unit-mass datum")
     shift = profile.com()
-    mu = (X.x_values - shift, 1.0, None)
+    mu = (X.x_values - shift, np.full(X.n, 1.0 / X.n), None)
     value, bound = _xi_integral(mu, _datum_pieces(profile, quad, shift), q)
     dq = dq_constant(q)
     return FourierEnergy(dq * value, dq * bound)
@@ -324,7 +319,11 @@ def moment_certificate(reports, exps, profile, quad=None):
     Attraction-dominated: the q_a-th moment is bounded by
     4 (E(0) + int |x|^{q_a} d omega + 2 R^{q_r}) with R the crossover radius
     of the two power terms.  Balanced: the r-th moment (r < q/2) is bounded
-    through the Fourier representation with explicit constants.
+    through the Fourier representation with explicit constants.  Its term
+    D_q int |1 - omega_hat|^2 |xi|^{-1-q} is the tilde energy of delta_0,
+    int |y|^q d omega - C, which the datum sums give exactly: the identity
+    that criterion 10 checks, with no xi quadrature and no error bar.  The
+    datum terms are exact unless ``quad`` is given.
     """
     if not reports:
         raise ValueError("empty report stream")
@@ -342,13 +341,11 @@ def moment_certificate(reports, exps, profile, quad=None):
     r = _moment_order(q)
     if abs(profile.mass - 1.0) > 1e-12:
         raise ValueError("balanced certificate requires a unit-mass datum")
-    # energy sublevel in the completed-square form
-    level = e0 - self_energy_constant(profile, q, quad)
-    # integral of |1 - omega_hat|^2 |xi|^{-1-q} plus its error bound, an
-    # upper estimate that keeps the certificate a valid bound
-    value, err = _xi_integral((np.zeros(1), 1.0, None),
-                              _datum_pieces(profile, quad), q)
-    m2 = 2.0 * (level / dq_constant(q) + (value + err))
+    c = self_energy_constant(profile, q, quad)
+    # the energy sublevel in the completed-square form, plus the tilde
+    # energy of delta_0
+    delta0 = float(_datum_conv(profile, q, np.zeros(1), quad)[0]) - c
+    m2 = 2.0 * (e0 - c + delta0) / dq_constant(q)
     bound = 2.0 * dq_constant(r) * (
         math.sqrt(2.0 / (q - 2.0 * r)) * math.sqrt(max(m2, 0.0)) + 4.0 / r
     )

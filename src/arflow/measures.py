@@ -158,12 +158,8 @@ class ReferenceProfile:
         cum[-1] = mass
         cum.setflags(write=False)
         object.__setattr__(self, "_cum_mass", cum)
-        # (b_{k+1}^2 - b_k^2)/2 as width times midpoint, which loses no
-        # digits far from the origin
-        first_moment = np.sum(piece_mass * (b[1:] + b[:-1]))
-        object.__setattr__(self, "_com", float(first_moment / (2.0 * mass)))
-        # com - b_0 for ``centred``, from the breakpoints relative to b_0,
-        # rounds with the datum's width, where com rounds with |com|
+        # com - b_0 from the breakpoints relative to b_0, as width times
+        # midpoint: it rounds with the datum's width, not with |com|
         rel = b - b[0]
         offset = np.sum(piece_mass * (rel[1:] + rel[:-1])) / (2.0 * mass)
         object.__setattr__(self, "_com_offset", float(offset))
@@ -198,8 +194,8 @@ class ReferenceProfile:
         return y if y.ndim else float(y)
 
     def com(self):
-        """Center of mass, (1/m) * integral of x * density."""
-        return self._com
+        """Center of mass (1/m) * integral of x * density, b_0 + (com - b_0)."""
+        return float(self.breakpoints[0] + self._com_offset)
 
     def centred(self, x):
         """x - com as (x - b_0) - (com - b_0), which rounds with the width."""
@@ -310,6 +306,6 @@ def sample_profile(profile, n):
 
 def uniform_state(a, b, n):
     """Uniform probability density on [a, b] sampled on the midpoint grid."""
-    if not b > a:
-        raise ValueError("need a < b")
+    if not -np.inf < a < b < np.inf:
+        raise ValueError(f"need finite a < b, got a={a}, b={b}")
     return InverseCDF(a + (b - a) * midpoint_grid(n))

@@ -2,9 +2,11 @@
 
 The equilibrium quantile function solves U(X*(z)) = 2z - 1.  At q_a = 2 the
 drift is affine, U(x) = 2m(x - com), so X* = com + (2z - 1)/(2m) in closed
-form; for 1 < q_a < 2 bisection inverts U node by node; for q_a = 1 X* is a
-shifted window of the datum's quantile function.  For m < 1 (q = 1) only a
-partial limit profile exists and the outer mass escapes.
+form; for 1 < q_a < 2 bisection inverts U node by node, to a bracket width
+of ``_TOL`` or the float spacing of the roots; for q_a = 1 X* is a shifted
+window of the datum's quantile function.  For m < 1 (q = 1) only a partial
+limit profile exists and the outer mass escapes.  Nothing here takes a time
+step, so the integrator's step-size guard does not apply.
 """
 
 from __future__ import annotations
@@ -50,15 +52,17 @@ class ShiftedProfile:
 
 
 _MAX_EXPAND = 200  # bracket doublings before invert_increasing gives up
+_TOL = 1e-12  # bracket width at which invert_increasing stops
 
 
-def invert_increasing(f, targets, lo, hi, tol=1e-12):
+def invert_increasing(f, targets, lo, hi):
     """Vectorized bisection solving f(x) = target for an increasing f.
 
     The bracket [lo, hi] is expanded geometrically until it straddles all
-    targets (valid since f has limits -inf/+inf).  Bisection stops at width
-    ``tol`` or, where ``tol`` is below the float spacing of the roots, once
-    no midpoint lies strictly inside its bracket.
+    targets (valid since f has limits -inf/+inf); OverflowError if
+    ``_MAX_EXPAND`` doublings do not reach them.  Bisection stops at width
+    ``_TOL`` or, where ``_TOL`` is below the float spacing of the roots,
+    once no midpoint lies strictly inside its bracket.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     width = max(hi - lo, 1.0)
@@ -69,10 +73,10 @@ def invert_increasing(f, targets, lo, hi, tol=1e-12):
         hi += width
         width *= 2.0
     else:
-        raise RuntimeError("could not bracket the roots")
+        raise OverflowError(f"could not bracket the roots in {_MAX_EXPAND} doublings")
     lo_arr = np.full_like(targets, lo)
     hi_arr = np.full_like(targets, hi)
-    while np.max(hi_arr - lo_arr) > tol:
+    while np.max(hi_arr - lo_arr) > _TOL:
         mid = 0.5 * (lo_arr + hi_arr)
         if np.all((mid == lo_arr) | (mid == hi_arr)):
             break

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arflow import InverseCDF, cli, energetics, kernels
+from arflow import InverseCDF, cli, energetics, kernels, uniform_state
 
 SRC = str(Path(cli.__file__).resolve().parent.parent)
 
@@ -267,6 +267,23 @@ class TestSteady:
         assert "q_r = 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["steady", "simulate"])
+    def test_unbracketed_equilibrium_exit_3_before_output(
+            self, tmp_path, capsys, command):
+        # at mass 0.003 and q_a = 1.02 the drift reaches 1 only where
+        # 1.02 * 0.003 |x|^0.02 = 1, at |x| near 1e126: past the 2^200
+        # doublings of the bisection bracket
+        write_profile(tmp_path, [0.0, 0.5], [0.006])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.02, "q_r": 1.0, "n": 32,
+            "dt": 1.0, "t_end": 2.0,
+        })
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg),
+                         "--out", str(out)]) == 3
+        assert "could not bracket" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleCheck:
     def test_default_suite_passes(self, tmp_path, capsys):
@@ -490,10 +507,36 @@ class TestNonFiniteProfile:
         assert not (out / "balance.json").exists()
 
 
+class TestStepGuard:
+    """The step-size guard belongs to the integrator: it binds simulate only.
+
+    Density 200 on [0, 0.005] has lambda = 1.5 * 0.5 * (4 * 200 + 1) at
+    q_a = 1.5, so the default dt = 1e-3 breaks dt * lambda <= 0.5.
+    """
+
+    @pytest.fixture
+    def steep(self, tmp_path):
+        write_profile(tmp_path, [0.0, 0.005], [200.0])
+
+        def config(q_a, q_r):
+            return write_config(tmp_path, {
+                "profile": "profile.json", "q_a": q_a, "q_r": q_r, "n": 64,
+            })
+        return config
+
+    def test_steady_ignores_guard(self, tmp_path, steep):
+        out = tmp_path / "steady"
+        assert cli.main(["steady", "--config", str(steep(1.5, 1.0)),
+                         "--out", str(out)]) == 0
+        assert (out / "steady.csv").exists()
+
+    def test_oracle_check_ignores_guard(self, steep, capsys):
+        assert cli.main(["oracle-check", "--config", str(steep(1.5, 1.5))]) == 0
+        assert "pass" in capsys.readouterr().out
+
+
 class TestInitialKinds:
     def test_csv_initial(self, tmp_path):
-        from arflow import uniform_state
-
         write_profile(tmp_path, [0.0, 1.0], [1.0])
         state_path = tmp_path / "x0.csv"
         uniform_state(0.0, 1.0, 32).to_csv(state_path)
@@ -509,8 +552,6 @@ class TestInitialKinds:
     def test_csv_path_relative_to_config(self, tmp_path, monkeypatch):
         # like the profile, a relative csv path is taken from the config's
         # directory, not from the working directory
-        from arflow import uniform_state
-
         cfg_dir = tmp_path / "cfg"
         cfg_dir.mkdir()
         write_profile(cfg_dir, [0.0, 1.0], [1.0])
@@ -563,6 +604,42 @@ class TestInitialKinds:
         out = tmp_path / "run"
         assert cli.main(["simulate", "--config", str(cfg),
                          "--out", str(out)]) == 4
+        assert not out.exists()
+
+    def test_tied_csv_exit_2_before_output(self, tmp_path, capsys):
+        # a zero initial slope has no slope certificate; simulate refuses it
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        x = uniform_state(0.0, 1.0, 32).x_values.copy()
+        x[:2] = 0.0
+        InverseCDF(x).to_csv(tmp_path / "x0.csv")
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.2, "n": 32,
+            "dt": 0.01, "t_end": 0.02,
+            "initial": {"kind": "csv", "path": "x0.csv"},
+        })
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "steady", "oracle-check"])
+    def test_csv_node_count_exit_2_before_output(self, tmp_path, capsys,
+                                                 command):
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        uniform_state(0.0, 1.0, 40).to_csv(tmp_path / "x0.csv")
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.0, "n": 32,
+            "dt": 0.01, "t_end": 0.02,
+            "initial": {"kind": "csv", "path": "x0.csv"},
+        })
+        out = tmp_path / "run"
+        argv = [command, "--config", str(cfg)]
+        if command != "oracle-check":
+            argv += ["--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "40 nodes" in err
         assert not out.exists()
 
     def test_unknown_kind(self, tmp_path):

@@ -26,12 +26,14 @@ from arflow.energetics import (
     _char_fn,
     _datum_pieces,
     _moments,
+    _xi_integral,
     dq_constant,
     make_report,
     reports_to_csv,
     self_energy_constant,
     tilde_energy,
 )
+from arflow.kernels import _datum_conv
 from arflow.measures import midpoint_grid
 from arflow.steady import steady_qr1
 from conftest import psi, psi_prime
@@ -279,15 +281,6 @@ class TestExactDatumTransform:
         assert _char_fn(flat, xi).tobytes() == _char_fn(points, xi).tobytes()
         assert _moments(flat) == _moments(points)
 
-    def test_shared_total_mass_is_equal_masses(self, rng):
-        # a scalar mass is a total that the pieces share equally
-        centre = rng.uniform(-2.0, 3.0, 40)
-        xi = np.geomspace(1e-4, 1e3, 50)
-        equal = (centre, np.full(40, 1.0 / 40), None)
-        shared = (centre, 1.0, None)
-        assert _char_fn(shared, xi).tobytes() == _char_fn(equal, xi).tobytes()
-        assert _moments(shared) == pytest.approx(_moments(equal), rel=1e-14)
-
     @pytest.mark.parametrize("q", [1.0, 1.2, 1.5, 1.8, 2.0])
     def test_self_term_order_against_quadrature(self, q):
         exact = self_energy_constant(self.GAP, q)
@@ -339,11 +332,66 @@ class TestMomentCertificate:
         with pytest.raises(ValueError):
             moment_certificate([], Exponents(2.0, 1.0), uniform_profile)
 
+    @pytest.mark.parametrize("q", [1.2, 1.5])
+    def test_balanced_bound_formula(self, q):
+        # m2 = 2 (E(0) - C + E~[delta_0]) / D_q, with E~[delta_0] the
+        # exact int |y|^q d omega - C
+        prof = ReferenceProfile([0.0, 0.5, 1.5, 2.0], [1.0, 0.0, 1.0])
+        exps = Exponents(q, q)
+        rep = make_report(0.0, uniform_state(-1.0, 2.0, 64), prof, exps)
+        c = self_energy_constant(prof, q)
+        moment_y = prof.abs_moment(q)
+        r = q / 2.0 - 0.1
+        m2 = 2.0 * (rep.E - 2.0 * c + moment_y) / dq_constant(q)
+        bound = 2.0 * dq_constant(r) * (
+            math.sqrt(2.0 / (q - 2.0 * r)) * math.sqrt(m2) + 4.0 / r)
+        cert = moment_certificate([rep], exps, prof)
+        assert cert.bound == pytest.approx(bound, rel=1e-12)
+
     def test_balanced_needs_unit_mass(self, dense2_profile):
         X = uniform_state(0.0, 1.0, 32)
         rep = make_report(0.0, X, dense2_profile, Exponents(1.5, 1.5))
         with pytest.raises(ValueError):
             moment_certificate([rep], Exponents(1.5, 1.5), dense2_profile)
+
+
+def bench_like_datum(seed, pieces=5):
+    """A unit-mass datum with empty gaps, drawn as the benchmark draws its."""
+    rng = np.random.default_rng(seed)
+    widths = rng.uniform(0.2, 0.5, pieces)
+    dens = rng.uniform(0.5, 1.5, pieces)
+    dens[1::2] = 0.0
+    widths /= dens @ widths
+    breaks = -0.5 * widths.sum() + np.concatenate([[0.0], np.cumsum(widths)])
+    return ReferenceProfile(breaks, dens)
+
+
+class TestExactCertificateTerm:
+    """The balanced certificate's delta_0 term against the xi integral.
+
+    D_q int |1 - omega_hat|^2 |xi|^{-1-q} is the tilde energy of delta_0,
+    int |y|^q d omega - C, so the exact term lies inside the error bar of
+    the xi rule that it replaced, and the certificate is never looser.
+    """
+
+    DATUMS = {
+        "unit": ReferenceProfile([0.0, 1.0], [1.0]),
+        "gap": ReferenceProfile([0.0, 0.5, 1.5, 2.0], [1.0, 0.0, 1.0]),
+        "bench": bench_like_datum(4101),
+    }
+
+    @pytest.mark.parametrize("q", [1.2, 1.25, 1.5, 1.8])
+    @pytest.mark.parametrize("nodes", [None, 800], ids=["exact", "quad"])
+    @pytest.mark.parametrize("name", list(DATUMS))
+    def test_inside_xi_error_bar(self, name, nodes, q):
+        prof = self.DATUMS[name]
+        quad = None if nodes is None else MassQuadrature.midpoint(prof, nodes)
+        exact = (float(_datum_conv(prof, q, np.zeros(1), quad)[0])
+                 - self_energy_constant(prof, q, quad)) / dq_constant(q)
+        delta0 = (np.zeros(1), np.ones(1), None)
+        value, err = _xi_integral(delta0, _datum_pieces(prof, quad), q)
+        assert abs(exact - value) <= err, (exact, value, err)
+        assert exact <= value + err
 
 
 class TestReportCsv:

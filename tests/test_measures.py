@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -286,6 +287,28 @@ class TestReferenceProfile:
     def test_com(self, dense2_profile, gap_profile):
         assert dense2_profile.com() == pytest.approx(0.5, abs=1e-12)
         assert gap_profile.com() == pytest.approx(1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0, 1e4, 1e6, 1e8])
+    def test_com_against_exact_rationals(self, offset):
+        # com = b_0 + (com - b_0), against the exact first moment of the
+        # stored breakpoints and densities
+        rng = np.random.default_rng(int(offset) % 1000 + 7)
+        for _ in range(200):
+            k = int(rng.integers(1, 5))
+            widths = 10.0 ** rng.uniform(-3.0, 1.0, k)
+            dens = 10.0 ** rng.uniform(-3.0, 3.0, k)
+            dens[rng.uniform(size=k) < 0.3] = 0.0
+            dens[0] = max(dens[0], 1e-3)
+            prof = ReferenceProfile(
+                offset + np.concatenate([[0.0], np.cumsum(widths)]), dens)
+            b = [Fraction(v) for v in prof.breakpoints.tolist()]
+            d = [Fraction(v) for v in prof.densities.tolist()]
+            first = sum(dk * (hi * hi - lo * lo) / 2
+                        for dk, lo, hi in zip(d, b, b[1:]))
+            mass = sum(dk * (hi - lo) for dk, lo, hi in zip(d, b, b[1:]))
+            exact = first / mass
+            ulp = Fraction(float(np.spacing(abs(float(exact)))))
+            assert abs(Fraction(prof.com()) - exact) <= 4 * ulp
 
     def test_abs_moment(self, uniform_profile):
         assert uniform_profile.abs_moment(2.0) == pytest.approx(1.0 / 3.0, abs=1e-12)

@@ -27,6 +27,13 @@ class TestInvertIncreasing:
         root = invert_increasing(f, [0.0], 0.0, 1.0)
         assert root[0] == pytest.approx(-100.0, abs=1e-10)
 
+    def test_unreachable_roots_overflow(self):
+        # asinh(x) / 1000 stays below 1 up to |x| = 1e434, far beyond the
+        # 2^200 that the doublings of the bracket reach
+        f = lambda x: np.arcsinh(x) / 1000.0
+        with pytest.raises(OverflowError, match="bracket"):
+            invert_increasing(f, [-1.0, 1.0], 0.0, 1.0)
+
 
     def test_roots_beyond_float_spacing_of_tol(self):
         # near 1e6 adjacent floats are 1.2e-10 apart, far above tol = 1e-12
