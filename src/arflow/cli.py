@@ -52,27 +52,32 @@ class RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
+            # each key is popped where it is read; one left over is a typo
+            rest = {**doc}  # a TypeError unless doc is an object
             # relative file names are taken from the config's directory
             base = Path(path).parent
-            profile = ReferenceProfile.from_json(base / doc["profile"])
-            exps = Exponents(float(doc["q_a"]), float(doc["q_r"]))
-            n = _integer(doc, "n", 400)
+            profile_path = base / rest.pop("profile")
+            exps = Exponents(float(rest.pop("q_a")), float(rest.pop("q_r")))
+            n = _integer(rest, "n", 400)
             if n < 16:
                 raise ConfigError("n must be at least 16")
             integrator = IntegratorConfig(
-                dt=float(doc.get("dt", 1e-3)),
-                t_end=float(doc.get("t_end", 1.0)),
-                scheme=doc.get("scheme", "rk4"),
-                safety=float(doc.get("safety", 0.5)),
-                record_every=_integer(doc, "record_every", 1),
+                dt=float(rest.pop("dt", 1e-3)),
+                t_end=float(rest.pop("t_end", 1.0)),
+                scheme=rest.pop("scheme", "rk4"),
+                safety=float(rest.pop("safety", 0.5)),
+                record_every=_integer(rest, "record_every", 1),
             )
-            fit = {key: None if doc.get(key) is None else float(doc[key])
-                   for key in ("t_fit_lo", "t_fit_hi")}
+            fit = {k: rest.pop(k, None) for k in ("t_fit_lo", "t_fit_hi")}
+            fit = {k: None if v is None else float(v) for k, v in fit.items()}
+            initial = rest.pop("initial", {})
+            _no_leftovers(rest, "config")
+            profile = ReferenceProfile.from_json(profile_path)
             return cls(
                 doc=doc,
                 profile=profile,
                 exps=exps,
-                initial=_initial(doc.get("initial", {}), base, profile, n),
+                initial=_initial(initial, base, profile, n),
                 n=n,
                 integrator=integrator,
                 **fit,
@@ -88,28 +93,41 @@ class RunConfig:
 
 
 def _integer(doc, key, default):
-    """``doc[key]`` as an int; a fractional value is not truncated."""
-    value = doc.get(key, default)
+    """``doc.pop(key)`` as an int; a fractional value is not truncated."""
+    value = doc.pop(key, default)
     if int(value) != value:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _no_leftovers(rest, where):
+    """Refuse the keys that no reader popped from the ``where`` object."""
+    if rest:
+        raise ConfigError(f"unknown key(s) in {where}: "
+                          f"{', '.join(sorted(rest))}")
 
 
 def _initial(initial, base, profile, n):
     """The initial state on n nodes; a missing or corrupt CSV is exit 4."""
     if not isinstance(initial, dict):
         raise ConfigError(f"initial must be an object, got {initial!r}")
-    kind = initial.get("kind", "profile")
+    rest = {**initial}
+    kind = rest.pop("kind", "profile")
     if kind == "uniform":
-        return uniform_state(float(initial["a"]), float(initial["b"]), n)
+        a, b = float(rest.pop("a")), float(rest.pop("b"))
+        _no_leftovers(rest, "initial")
+        return uniform_state(a, b, n)
     if kind == "csv":
-        if not isinstance(initial.get("path"), str):
+        state_path = rest.pop("path", None)
+        if not isinstance(state_path, str):
             raise ConfigError("csv initial needs a string path")
-        X = _read_state(base / initial["path"])
+        _no_leftovers(rest, "initial")
+        X = _read_state(base / state_path)
         if X.n != n:
             raise ConfigError(f"csv initial has {X.n} nodes, n is {n}")
         return X
     if kind == "profile":
+        _no_leftovers(rest, "initial")
         return sample_profile(profile, n)
     raise ConfigError(f"unknown initial condition kind {kind!r}")
 
@@ -161,18 +179,12 @@ def _write_json(path, doc):
 
 def cmd_simulate(config, out):
     cfg = RunConfig.load(config)
-    reports = []
-
-    def record(state):
-        reports.append(
-            energetics.make_report(state.t, state.X, cfg.profile, cfg.exps)
-        )
-
     try:
-        traj = simulate(cfg.initial, cfg.profile, cfg.exps, cfg.integrator,
-                        callback=record)
+        traj = simulate(cfg.initial, cfg.profile, cfg.exps, cfg.integrator)
     except ValueError as exc:  # a tied initial state or the step-size guard
         raise ConfigError(str(exc)) from exc
+    reports = [energetics.make_report(s.t, s.X, cfg.profile, cfg.exps)
+               for s in traj.states]
     ss = (steady.steady_qr1(cfg.profile, cfg.exps.q_a, cfg.n)
           if cfg.exps.q_r == 1.0 else None)
     # a run that fails writes nothing

@@ -173,25 +173,22 @@ def _slope_ratio(min_slope, alpha, growth):
     return math.exp(min(0.0, math.log(min_slope) - math.log(alpha) + growth))
 
 
-def simulate(X0, profile, exps, cfg, quad=None, callback=None):
+def simulate(X0, profile, exps, cfg):
     """Advance X0 to t_end, recording every record_every steps.
 
     Also tracks the slope-condition certificate: the running minimum over
     snapshots of min_slope(t) e^{+lambda t} relative to the initial slope.
-    ``callback(state)`` is invoked on every recorded state.  The drift is
-    exact unless a ``quad`` is passed.  A tied X0 or a dt that breaks the
-    step-size guard raises ValueError before the first callback.
+    The drift is exact for the piecewise-constant datum.  A tied X0 or a
+    dt that breaks the step-size guard raises ValueError before any step.
     """
     state = FlowState.initial(X0)
     alpha = state.min_slope
     if alpha <= 0:
         raise ValueError("initial state must have strictly positive min slope")
-    pot = AttractionPotential(profile, exps.q_a, quad)
+    pot = AttractionPotential(profile, exps.q_a)
     cfg.check_guard(pot.lam)
     states = [state]
     cert = 1.0
-    if callback is not None:
-        callback(state)
     n_steps = cfg.n_steps
     for k in range(1, n_steps + 1):
         state = step(state, cfg, pot, exps)
@@ -199,8 +196,6 @@ def simulate(X0, profile, exps, cfg, quad=None, callback=None):
             states.append(state)
             cert = min(cert, _slope_ratio(state.min_slope, alpha,
                                           pot.lam * state.t))
-            if callback is not None:
-                callback(state)
     return Trajectory(states, cert, pot.lam)
 
 

@@ -317,22 +317,22 @@ def moment_certificate(reports, exps, profile, quad=None):
     """Check every snapshot's moment against the a-priori sublevel bound.
 
     Attraction-dominated: the q_a-th moment is bounded by
-    4 (E(0) + int |x|^{q_a} d omega + 2 R^{q_r}) with R the crossover radius
+    4 (E(0) + int |y|^{q_a} d omega + 2 R^{q_r}) with R the crossover radius
     of the two power terms.  Balanced: the r-th moment (r < q/2) is bounded
     through the Fourier representation with explicit constants.  Its term
     D_q int |1 - omega_hat|^2 |xi|^{-1-q} is the tilde energy of delta_0,
     int |y|^q d omega - C, which the datum sums give exactly: the identity
-    that criterion 10 checks, with no xi quadrature and no error bar.  The
-    datum terms are exact unless ``quad`` is given.
+    that criterion 10 checks, with no xi quadrature and no error bar.  In
+    both regimes int |y|^{q_a} d omega is the datum sum at 0, exact unless
+    ``quad`` is given.
     """
     if not reports:
         raise ValueError("empty report stream")
     e0 = reports[0].E
+    datum = float(_datum_conv(profile, exps.q_a, np.zeros(1), quad)[0])
     if exps.regime == "attraction_dominated":
         radius = 8.0 ** (1.0 / (exps.q_a - exps.q_r))
-        bound = 4.0 * (
-            e0 + profile.abs_moment(exps.q_a) + 2.0 * radius**exps.q_r
-        )
+        bound = 4.0 * (e0 + datum + 2.0 * radius**exps.q_r)
         observed = max(r.moment_qa for r in reports)
         return CertificateResult(observed <= bound, bound, observed,
                                  "attraction_dominated", exps.q_a)
@@ -344,11 +344,9 @@ def moment_certificate(reports, exps, profile, quad=None):
     c = self_energy_constant(profile, q, quad)
     # the energy sublevel in the completed-square form, plus the tilde
     # energy of delta_0
-    delta0 = float(_datum_conv(profile, q, np.zeros(1), quad)[0]) - c
-    m2 = 2.0 * (e0 - c + delta0) / dq_constant(q)
+    m2 = 2.0 * (e0 - c + (datum - c)) / dq_constant(q)
     bound = 2.0 * dq_constant(r) * (
         math.sqrt(2.0 / (q - 2.0 * r)) * math.sqrt(max(m2, 0.0)) + 4.0 / r
     )
     observed = max(rep.moment_r for rep in reports)
     return CertificateResult(observed <= bound, bound, observed, "balanced", r)
-

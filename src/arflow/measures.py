@@ -201,18 +201,6 @@ class ReferenceProfile:
         """x - com as (x - b_0) - (com - b_0), which rounds with the width."""
         return (x - self.breakpoints[0]) - self._com_offset
 
-    def abs_moment(self, r):
-        """Exact integral of |x|^r against the density (not normalized)."""
-        if r <= 0:
-            raise ValueError("r must be positive")
-
-        def prim(x):
-            # antiderivative of |x|^r
-            return np.sign(x) * np.abs(x) ** (r + 1) / (r + 1)
-
-        b = self.breakpoints
-        return float(np.sum(self.densities * (prim(b[1:]) - prim(b[:-1]))))
-
     @classmethod
     def from_doc(cls, doc):
         """A profile from its ``{"breakpoints": [...], "densities": [...]}``."""

@@ -43,13 +43,8 @@ def profile_m(m):
 
 
 def run_with_reports(profile, exps, X0, cfg):
-    quad = MassQuadrature.midpoint(profile, X0.n)
-    reports = []
-    traj = simulate(
-        X0, profile, exps, cfg, quad,
-        callback=lambda s: reports.append(
-            make_report(s.t, s.X, profile, exps, quad)),
-    )
+    traj = simulate(X0, profile, exps, cfg)
+    reports = [make_report(s.t, s.X, profile, exps) for s in traj.states]
     return traj, reports
 
 

@@ -575,8 +575,13 @@ class TestInitialKinds:
         {"t_fit_lo": "x"},
         {"n": 32.9},
         {"record_every": 1.7},
+        {"recrod_every": 5, "schem": "euler"},
+        {"initial": {"kind": "uniform", "a": 0, "b": 1, "pth": "x"}},
+        # the key is refused before the (missing) file is read
+        {"initial": {"kind": "csv", "path": "x0.csv", "pth": "x"}},
     ], ids=["uniform-no-a", "uniform-a-eq-b", "csv-no-path", "not-object",
-            "t-fit-not-number", "n-not-integral", "record-every-not-integral"])
+            "t-fit-not-number", "n-not-integral", "record-every-not-integral",
+            "top-level-typo", "uniform-stray-key", "csv-stray-key"])
     def test_malformed_exit_2_before_output(self, tmp_path, capsys, doc):
         write_profile(tmp_path, [0.0, 1.0], [1.0])
         cfg = write_config(tmp_path, {
@@ -621,6 +626,23 @@ class TestInitialKinds:
         assert cli.main(["simulate", "--config", str(cfg),
                          "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["steady", "oracle-check"])
+    def test_unknown_key_exit_2_before_output(self, tmp_path, capsys,
+                                              command):
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.0, "n": 32,
+            "recrod_every": 5,
+        })
+        out = tmp_path / "run"
+        argv = [command, "--config", str(cfg)]
+        if command != "oracle-check":
+            argv += ["--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "recrod_every" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "steady", "oracle-check"])

@@ -182,14 +182,11 @@ class TestSimulate:
         exact = closed_form_q2(X0, uniform_profile, 0.5)
         assert np.max(np.abs(traj.states[-1].X.x_values - exact.x_values)) <= 1e-8
 
-    def test_recording_and_callback(self, uniform_profile):
+    def test_recording(self, uniform_profile):
         X0 = uniform_state(0.0, 1.0, 32)
         cfg = IntegratorConfig(dt=0.01, t_end=0.1, record_every=5)
-        seen = []
-        traj = simulate(X0, uniform_profile, Exponents(2.0, 2.0), cfg,
-                        callback=lambda s: seen.append(s.t))
+        traj = simulate(X0, uniform_profile, Exponents(2.0, 2.0), cfg)
         assert len(traj.states) == 3  # t = 0, 0.05, 0.1
-        assert seen == [s.t for s in traj.states]
         assert traj.times[-1] == pytest.approx(0.1)
 
     def test_requires_positive_slope(self, uniform_profile):

@@ -146,23 +146,19 @@ class TestEnergyBalance:
     def test_closed_form_run(self, uniform_profile):
         exps = Exponents(2.0, 2.0)
         X0 = uniform_state(0.5, 1.5, 200)
-        quad = MassQuadrature.midpoint(uniform_profile, 200)
-        reps = []
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, record_every=1)
-        simulate(X0, uniform_profile, exps, cfg, quad,
-                 callback=lambda s: reps.append(
-                     make_report(s.t, s.X, uniform_profile, exps, quad)))
+        traj = simulate(X0, uniform_profile, exps, cfg)
+        reps = [make_report(s.t, s.X, uniform_profile, exps)
+                for s in traj.states]
         assert energy_balance(reps) <= 1e-6
 
     def test_energy_monotone_qr_gt_1(self, uniform_profile):
         exps = Exponents(1.8, 1.4)
         X0 = uniform_state(-1.0, 2.0, 80)
-        quad = MassQuadrature.midpoint(uniform_profile, 80)
-        reps = []
         cfg = IntegratorConfig(dt=0.02, t_end=5.0, record_every=10)
-        simulate(X0, uniform_profile, exps, cfg, quad,
-                 callback=lambda s: reps.append(
-                     make_report(s.t, s.X, uniform_profile, exps, quad)))
+        traj = simulate(X0, uniform_profile, exps, cfg)
+        reps = [make_report(s.t, s.X, uniform_profile, exps)
+                for s in traj.states]
         e = np.array([r.E for r in reps])
         assert np.all(np.diff(e) <= 1e-10)
         assert all(r.D >= -1e-12 for r in reps)
@@ -306,12 +302,10 @@ class TestMomentCertificate:
     def test_attraction_dominated(self, uniform_profile):
         exps = Exponents(2.0, 1.0)
         X0 = uniform_state(-1.0, 2.0, 64)
-        quad = MassQuadrature.midpoint(uniform_profile, 64)
-        reps = []
         cfg = IntegratorConfig(dt=0.05, t_end=10.0, record_every=20)
-        simulate(X0, uniform_profile, exps, cfg, quad,
-                 callback=lambda s: reps.append(
-                     make_report(s.t, s.X, uniform_profile, exps, quad)))
+        traj = simulate(X0, uniform_profile, exps, cfg)
+        reps = [make_report(s.t, s.X, uniform_profile, exps)
+                for s in traj.states]
         cert = moment_certificate(reps, exps, uniform_profile)
         assert cert.regime == "attraction_dominated"
         assert cert.r == exps.q_a
@@ -328,9 +322,29 @@ class TestMomentCertificate:
         assert cert.r == pytest.approx(0.5)
         assert cert.passed
 
+    def test_attraction_bound_honours_quad(self):
+        # the datum term is the quadrature's sum_j w_j |y_j|^{q_a} when a
+        # quadrature is passed, and the exact integral otherwise
+        prof = ReferenceProfile([0.0, 0.5, 1.5, 2.0], [1.0, 0.0, 1.0])
+        exps = Exponents(1.8, 1.2)
+        rep = make_report(0.0, uniform_state(-1.0, 2.0, 64), prof, exps)
+        quad = MassQuadrature.midpoint(prof, 4)
+        y = prof.quantile(quad.nodes)
+        tail = 2.0 * 8.0 ** (exps.q_r / (exps.q_a - exps.q_r))
+        for datum, q in ((self.gap_moment(exps.q_a), None),
+                         (quad.weights @ np.abs(y) ** exps.q_a, quad)):
+            cert = moment_certificate([rep], exps, prof, quad=q)
+            assert cert.bound == pytest.approx(4.0 * (rep.E + datum + tail),
+                                               rel=1e-12)
+
     def test_empty_stream(self, uniform_profile):
         with pytest.raises(ValueError):
             moment_certificate([], Exponents(2.0, 1.0), uniform_profile)
+
+    @staticmethod
+    def gap_moment(q):
+        """int |y|^q d omega for density 1 on [0, 0.5] and [1.5, 2]."""
+        return (0.5 ** (q + 1) + 2.0 ** (q + 1) - 1.5 ** (q + 1)) / (q + 1)
 
     @pytest.mark.parametrize("q", [1.2, 1.5])
     def test_balanced_bound_formula(self, q):
@@ -340,7 +354,7 @@ class TestMomentCertificate:
         exps = Exponents(q, q)
         rep = make_report(0.0, uniform_state(-1.0, 2.0, 64), prof, exps)
         c = self_energy_constant(prof, q)
-        moment_y = prof.abs_moment(q)
+        moment_y = self.gap_moment(q)
         r = q / 2.0 - 0.1
         m2 = 2.0 * (rep.E - 2.0 * c + moment_y) / dq_constant(q)
         bound = 2.0 * dq_constant(r) * (

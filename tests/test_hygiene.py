@@ -159,6 +159,12 @@ def source_tree(module):
     return ast.parse((ROOT / "src" / "arflow" / f"{module}.py").read_text())
 
 
+def top_function(module, name):
+    """The module-level function ``name`` of ``src/arflow/<module>.py``."""
+    return next(node for node in source_tree(module).body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 def named_lines(tree, name):
     """Lines under ``tree`` that name ``name``, bare or as an attribute."""
     return [node.lineno for node in ast.walk(tree)
@@ -189,7 +195,38 @@ def test_fourier_pieces_have_one_mass_each():
 
 
 def test_invert_increasing_has_no_tol():
-    func = next(node for node in source_tree("steady").body
-                if isinstance(node, ast.FunctionDef)
-                and node.name == "invert_increasing")
+    func = top_function("steady", "invert_increasing")
     assert "tol" not in [arg.arg for arg in func.args.args]
+
+
+def test_simulate_takes_no_quad_or_callback():
+    # a quadrature flow is step with AttractionPotential(profile, q_a, quad),
+    # and the trajectory's states are every recorded state
+    args = top_function("dynamics", "simulate").args
+    assert ast.unparse(args) == "X0, profile, exps, cfg"
+
+
+def test_cmd_simulate_defines_no_nested_function():
+    # the reports are built from the trajectory's states after the run
+    func = top_function("cli", "cmd_simulate")
+    nested = [node.lineno for node in ast.walk(func)
+              if node is not func and isinstance(
+                  node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert nested == [], f"nested function at lines {nested}"
+
+
+def test_no_abs_moment():
+    # int |y|^q d omega has one formula, the datum sum at 0
+    found = [(path.name, node.lineno) for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name == "abs_moment"]
+    assert found == []
+
+
+def test_moment_certificate_calls_datum_conv_once():
+    func = top_function("energetics", "moment_certificate")
+    calls = [node.lineno for node in ast.walk(func)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "_datum_conv"]
+    assert len(calls) == 1, f"_datum_conv called at lines {calls}"

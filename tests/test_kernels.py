@@ -18,8 +18,9 @@ from arflow import (
 )
 from arflow.dynamics import repulsion_direct
 from arflow.energetics import self_energy_constant
-from arflow.kernels import _BLOCK_ELEMS, _datum_atoms, _datum_sum, \
-    _differences, _half_triangle, _pair_sum, _pow, _scratch_blocks
+from arflow.kernels import _BLOCK_ELEMS, _datum_atoms, _datum_conv, \
+    _datum_sum, _differences, _half_triangle, _pair_sum, _pow, \
+    _scratch_blocks
 from conftest import psi, psi_double_prime, psi_prime
 
 
@@ -240,6 +241,15 @@ class TestDatumSum:
             got = _datum_sum(x, q, (y, c, k), level)
         scale = np.sum(np.abs(terms), axis=1)
         assert np.all(np.abs(got - np.sum(terms, axis=1)) <= 1e-13 * scale)
+
+    def test_datum_conv_at_zero(self, uniform_profile):
+        # int |y|^q d omega, the datum term of both moment certificates
+        at_zero = np.zeros(1)
+        assert _datum_conv(uniform_profile, 2.0, at_zero)[0] == \
+            pytest.approx(1.0 / 3.0, abs=1e-12)
+        sym = ReferenceProfile([-1.0, 1.0], [0.5])
+        assert _datum_conv(sym, 1.0, at_zero)[0] == \
+            pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_level_is_primitive_of_the_one_below(self, gap_profile, level):

@@ -147,7 +147,8 @@ class TestMoment:
         n = 2000
         X = sample_profile(dense2_profile, n)
         for r in (1.0, 1.5, 2.0):
-            exact = dense2_profile.abs_moment(r) / dense2_profile.mass
+            # density 2 on [0, 1], normalised: int_0^1 x^r dx
+            exact = 1.0 / (r + 1.0)
             assert moment(X, r) == pytest.approx(exact, abs=5.0 / n)
 
 
@@ -309,11 +310,6 @@ class TestReferenceProfile:
             exact = first / mass
             ulp = Fraction(float(np.spacing(abs(float(exact)))))
             assert abs(Fraction(prof.com()) - exact) <= 4 * ulp
-
-    def test_abs_moment(self, uniform_profile):
-        assert uniform_profile.abs_moment(2.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
-        sym = ReferenceProfile([-1.0, 1.0], [0.5])
-        assert sym.abs_moment(1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_json_round_trip(self, tmp_path, gap_profile):
         path = tmp_path / "profile.json"
