@@ -133,24 +133,32 @@ def _initial(initial, base, profile, n):
 
 
 def fit_exponential_rate(t, y, t_lo, t_hi, floor=1e-300):
-    """OLS slope of log y over [t_lo, t_hi] on the samples above ``floor``,
-    with R^2; (None, None) with fewer than two such samples."""
+    """Least-squares slope of log y on t over [t_lo, t_hi], on the samples
+    above ``floor``, with R^2; (None, None) with fewer than two such
+    samples or a single time.
+
+    The line is solved from the centred sums S_tt, S_tl and S_ll: the slope
+    is S_tl / S_tt and R^2 is S_tl^2 / (S_tt S_ll), or 1 where S_ll = 0.
+    """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     mask = (t >= t_lo) & (t <= t_hi) & (y > floor)
     if np.count_nonzero(mask) < 2:
         return None, None
-    tt, ly = t[mask], np.log(y[mask])
-    slope, intercept = np.polyfit(tt, ly, 1)
-    pred = slope * tt + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2
+    tt, dl = t[mask], np.log(y[mask])
+    dt = tt - np.mean(tt)
+    dl -= np.mean(dl)
+    s_tt, s_tl, s_ll = float(dt @ dt), float(dt @ dl), float(dl @ dl)
+    if s_tt == 0:
+        return None, None
+    # Cauchy-Schwarz bounds R^2 by 1; the rounded quotient can pass it
+    r2 = 1.0 if s_ll == 0 else min(1.0, s_tl * s_tl / (s_tt * s_ll))
+    return s_tl / s_tt, r2
 
 
-def _rate_fit(cfg, t, y, scale):
-    """Rate, R^2 and the record of the fit of an error y(t) of size ``scale``.
+def _rate_fit(cfg, name, t, y, scale):
+    """``rate_<name>``, ``r2_<name>`` and ``fit_<name>`` of an error y(t) of
+    size ``scale``, as ``summary.json`` entries.
 
     Samples at or below the roundoff floor 64 eps max(1, scale) are
     dropped.  The default window is the later half of the samples above
@@ -164,11 +172,13 @@ def _rate_fit(cfg, t, y, scale):
         t_hi = float(above[-1]) if t_hi is None else t_hi
         kept = int(np.count_nonzero((above >= t_lo) & (above <= t_hi)))
     fit = {"floor": floor, "t_lo": t_lo, "t_hi": t_hi, "samples": kept}
+    rate = r2 = None
     if kept < 2:
         fit["reason"] = (f"{kept} sample(s) above the roundoff floor in "
                          f"the window; a rate needs 2")
-        return None, None, fit
-    return (*fit_exponential_rate(t, y, t_lo, t_hi, floor), fit)
+    else:
+        rate, r2 = fit_exponential_rate(t, y, t_lo, t_hi, floor)
+    return {f"rate_{name}": rate, f"r2_{name}": r2, f"fit_{name}": fit}
 
 
 def _write_json(path, doc):
@@ -207,15 +217,10 @@ def cmd_simulate(config, out):
     _write_json(out / "config.json",
                 {**cfg.doc, "profile_inline": cfg.profile.to_doc()})
 
-    times = traj.times
     com = cfg.profile.com()
     com_err = np.array([abs(s.X.mean() - com) for s in traj.states])
-    rate_com, r2_com, fit_com = _rate_fit(cfg, times, com_err, abs(com))
-
     summary = {
-        "rate_com": rate_com,
-        "r2_com": r2_com,
-        "fit_com": fit_com,
+        **_rate_fit(cfg, "com", traj.times, com_err, abs(com)),
         "min_dissipation": min(r.D for r in reports),
         "slope_certificate": traj.slope_certificate,
         "final_energy": reports[-1].E,
@@ -225,17 +230,11 @@ def cmd_simulate(config, out):
     }
     if ss is not None and ss.kind != "none_exists":
         w2 = [wasserstein(s.X, ss.Xstar, 2.0) for s in traj.states]
-        rate_w2, r2_w2, fit_w2 = _rate_fit(
-            cfg, times, np.array(w2),
-            float(np.max(np.abs(ss.Xstar.x_values))))
         summary.update(
-            {
-                "final_w2_to_steady": w2[-1],
-                "w2_nonincreasing": bool(np.all(np.diff(w2) <= 1e-10)),
-                "rate_w2": rate_w2,
-                "r2_w2": r2_w2,
-                "fit_w2": fit_w2,
-            }
+            final_w2_to_steady=w2[-1],
+            w2_nonincreasing=bool(np.all(np.diff(w2) <= 1e-10)),
+            **_rate_fit(cfg, "w2", traj.times, np.array(w2),
+                        float(np.max(np.abs(ss.Xstar.x_values)))),
         )
     _write_json(out / "summary.json", summary)
     return EXIT_OK

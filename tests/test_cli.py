@@ -28,6 +28,15 @@ def write_config(tmp_path, doc, name="config.json"):
     return path
 
 
+def polyfit_rate(t, y):
+    """Slope and R^2 of log y on t by ``np.polyfit``, the fit's reference."""
+    ly = np.log(y)
+    slope, intercept = np.polyfit(t, ly, 1)
+    ss_res = np.sum((ly - (slope * t + intercept)) ** 2)
+    ss_tot = np.sum((ly - np.mean(ly)) ** 2)
+    return slope, 1.0 - ss_res / ss_tot
+
+
 @pytest.fixture
 def q2_m2_config(tmp_path):
     write_profile(tmp_path, [0.0, 1.0], [2.0])
@@ -97,6 +106,9 @@ class TestSimulate:
         assert (fit["t_lo"], fit["t_hi"]) == (above[above.size // 2],
                                               above[-1])
         assert summary["rate_com"] < 0 and summary["r2_com"] >= 0.99
+        rate, r2 = polyfit_rate(times[window], err[window])
+        assert summary["rate_com"] == pytest.approx(rate, rel=1e-12)
+        assert summary["r2_com"] == pytest.approx(r2, rel=1e-12)
         if c == 0.0:
             # the window t = 5 to 9 gives the asymptotic rate
             assert summary["rate_com"] == pytest.approx(-2.5, abs=0.1)
@@ -195,6 +207,47 @@ class TestSimulate:
         assert "\r" not in text
 
 
+class TestFitExponentialRate:
+    T = np.linspace(0.0, 4.0, 41)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noisy_series_match_polyfit(self, seed):
+        rng = np.random.default_rng(seed)
+        y = 3.0 * np.exp(-2.5 * self.T + 0.2 * rng.standard_normal(41))
+        rate, r2 = cli.fit_exponential_rate(self.T, y, 1.0, 3.5)
+        window = (self.T >= 1.0) & (self.T <= 3.5)
+        ref_rate, ref_r2 = polyfit_rate(self.T[window], y[window])
+        assert rate == pytest.approx(ref_rate, rel=1e-12)
+        assert r2 == pytest.approx(ref_r2, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [-4.0, -0.3, 1e-3, 2.0])
+    def test_exact_exponentials_match_polyfit(self, lam):
+        y = 0.7 * np.exp(lam * self.T)
+        rate, r2 = cli.fit_exponential_rate(self.T, y, 0.0, 4.0)
+        ref_rate, ref_r2 = polyfit_rate(self.T, y)
+        assert rate == pytest.approx(ref_rate, rel=1e-12)
+        assert rate == pytest.approx(lam, rel=1e-12)
+        assert r2 == pytest.approx(ref_r2, rel=1e-12) and r2 <= 1.0
+
+    def test_floor_and_window_drop_samples(self):
+        y = np.exp(-self.T)
+        y[30:] = 1e-20  # at the floor: no information about the rate
+        rate, r2 = cli.fit_exponential_rate(self.T, y, 0.0, 4.0, 1e-18)
+        assert rate == pytest.approx(-1.0, rel=1e-12)
+        assert r2 == pytest.approx(1.0, rel=1e-12)
+        assert cli.fit_exponential_rate(self.T, y, 3.05, 4.0, 1e-18) == \
+            (None, None)
+
+    def test_constant_series_has_r2_one(self):
+        rate, r2 = cli.fit_exponential_rate([0.0, 1.0, 2.0], [2.0] * 3,
+                                            0.0, 2.0)
+        assert (rate, r2) == (0.0, 1.0)
+
+    def test_single_time_has_no_rate(self):
+        assert cli.fit_exponential_rate([1.0, 1.0], [1.0, 2.0], 0.0, 2.0) \
+            == (None, None)
+
+
 class TestMain:
     def test_one_process_matches_fresh_processes(self, tmp_path):
         # the parser is built once per process; reusing it for several
@@ -227,6 +280,31 @@ class TestMain:
         for name in names:
             assert ((tmp_path / "one" / name).read_bytes()
                     == (tmp_path / "fresh" / name).read_bytes()), name
+
+    def test_commands_import_no_random_or_polynomial(self, tmp_path):
+        # _SplitMix64 keeps numpy.random out of oracle-check, and only
+        # fourier_energy takes leggauss from numpy.polynomial
+        write_profile(tmp_path, [0.0, 0.5, 1.5], [1.2, 0.4])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.0, "n": 32,
+            "dt": 0.05, "t_end": 0.2,
+        })
+        argvs = [["simulate", "--config", str(cfg), "--out", "run"],
+                 ["energy-audit", "--out", "run"],
+                 ["steady", "--config", str(cfg), "--out", "steady"],
+                 ["oracle-check", "--config", str(cfg), "--seed", "3"]]
+        script = (
+            "import json, sys\n"
+            "from arflow import cli\n"
+            f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m in "
+            "('numpy.random', 'numpy.polynomial'))]))\n")
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        codes, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0, 0]
+        assert loaded == []
 
 
 class TestSteady:

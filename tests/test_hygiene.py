@@ -230,3 +230,30 @@ def test_moment_certificate_calls_datum_conv_once():
              and isinstance(node.func, ast.Name)
              and node.func.id == "_datum_conv"]
     assert len(calls) == 1, f"_datum_conv called at lines {calls}"
+
+
+def least_squares_calls(tree):
+    """Lines under ``tree`` that name ``np.polyfit`` or anything under
+    ``np.linalg``, by attribute or by import."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = ast.unparse(node)
+            root, _, rest = name.partition(".")
+            if root in ("np", "numpy") and (rest == "polyfit"
+                                            or rest.startswith("linalg")):
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{name}" for name in names]
+            if any(name.startswith("numpy.linalg")
+                   or name == "numpy.polyfit" for name in names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_cli_fits_rates_without_least_squares_solver():
+    # a two-parameter line is solved from its centred sums; the general
+    # least-squares solve (LAPACK) has no place on the simulate path
+    assert least_squares_calls(source_tree("cli")) == []
