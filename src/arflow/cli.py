@@ -70,6 +70,8 @@ class RunConfig:
             )
             fit = {k: rest.pop(k, None) for k in ("t_fit_lo", "t_fit_hi")}
             fit = {k: None if v is None else float(v) for k, v in fit.items()}
+            if not all(v is None or np.isfinite(v) for v in fit.values()):
+                raise ConfigError(f"t_fit_lo, t_fit_hi must be finite: {fit}")
             initial = rest.pop("initial", {})
             _no_leftovers(rest, "config")
             profile = ReferenceProfile.from_json(profile_path)
@@ -182,9 +184,9 @@ def _rate_fit(cfg, name, t, y, scale):
 
 
 def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # standard JSON: a non-finite float raises before the file is opened
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def cmd_simulate(config, out):
@@ -251,10 +253,8 @@ def cmd_steady(config, out):
     out.mkdir(parents=True, exist_ok=True)
     if ss.Xstar is not None:
         ss.Xstar.to_csv(out / "steady.csv")
-    _write_json(
-        out / "steady.json",
-        {"x_lo": ss.x_lo, "x_hi": ss.x_hi, "x_zero": ss.x_zero, "kind": ss.kind},
-    )
+    _write_json(out / "steady.json", {"x_lo": ss.x_lo, "x_hi": ss.x_hi,
+                                      "x_zero": ss.x_zero, "kind": ss.kind})
     return EXIT_OK
 
 
@@ -340,7 +340,13 @@ def cmd_energy_audit(out):
             config_doc = json.load(fh)
         profile = ReferenceProfile.from_doc(config_doc["profile_inline"])
         exps = Exponents(float(config_doc["q_a"]), float(config_doc["q_r"]))
-        snapshots = list(zip(index["times"], index["files"]))
+        times, files = np.array(index["times"], dtype=float), index["files"]
+        if not (times.shape == (len(files),) and np.all(np.isfinite(times))
+                and np.all(np.diff(times) > 0)
+                and all(isinstance(name, str) for name in files)):
+            raise ValueError("index.json needs one file name (a string) per "
+                             "time, the times finite and increasing")
+        snapshots = list(zip(times.tolist(), files))
     except (KeyError, TypeError, ValueError) as exc:
         # corrupt or incomplete metadata is an i/o failure (exit 4)
         raise OSError(

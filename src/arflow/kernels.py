@@ -289,5 +289,4 @@ def attraction_U(pot, x):
         out = 2.0 * profile.mass * profile.centred(x)
     else:
         out = _datum_sum(x, pot.q_a, pot._atoms, -1)
-    out = np.asarray(out)
     return out if out.ndim else float(out)

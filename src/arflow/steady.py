@@ -2,15 +2,17 @@
 
 The equilibrium quantile function solves U(X*(z)) = 2z - 1.  At q_a = 2 the
 drift is affine, U(x) = 2m(x - com), so X* = com + (2z - 1)/(2m) in closed
-form; for 1 < q_a < 2 bisection inverts U node by node, to a bracket width
-of ``_TOL`` or the float spacing of the roots; for q_a = 1 X* is a shifted
-window of the datum's quantile function.  For m < 1 (q = 1) only a partial
-limit profile exists and the outer mass escapes.  Nothing here takes a time
-step, so the integrator's step-size guard does not apply.
+form; for 1 < q_a < 2 one bisection inverts U at the support edges and all
+nodes together, halving one bracket ceil(log2(width / ``_TOL``)) times; for
+q_a = 1 X* is a shifted window of the datum's quantile function.  For m < 1
+(q = 1) only a partial limit profile exists and the outer mass escapes.
+Nothing here takes a time step, so the integrator's step-size guard does not
+apply.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +33,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SteadyState:
-    Xstar: InverseCDF | None
-    x_lo: float
-    x_hi: float
-    x_zero: float
+    Xstar: InverseCDF | None  # None, as are the edges, where none exists
+    x_lo: float | None
+    x_hi: float | None
+    x_zero: float | None
     kind: str  # qa_gt_1 | qa_eq_1_shift | none_exists
 
 
@@ -60,9 +62,10 @@ def invert_increasing(f, targets, lo, hi):
 
     The bracket [lo, hi] is expanded geometrically until it straddles all
     targets (valid since f has limits -inf/+inf); OverflowError if
-    ``_MAX_EXPAND`` doublings do not reach them.  Bisection stops at width
-    ``_TOL`` or, where ``_TOL`` is below the float spacing of the roots,
-    once no midpoint lies strictly inside its bracket.
+    ``_MAX_EXPAND`` doublings do not reach them.  Every bracket starts at
+    the same width, so ceil(log2(width / ``_TOL``)) halvings bring all of
+    them to ``_TOL``; a halving of one already at the float spacing of its
+    root leaves it where it is.  An infinite width is an OverflowError too.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     width = max(hi - lo, 1.0)
@@ -74,48 +77,40 @@ def invert_increasing(f, targets, lo, hi):
         width *= 2.0
     else:
         raise OverflowError(f"could not bracket the roots in {_MAX_EXPAND} doublings")
-    lo_arr = np.full_like(targets, lo)
-    hi_arr = np.full_like(targets, hi)
-    while np.max(hi_arr - lo_arr) > _TOL:
+    lo_arr, hi_arr = np.full_like(targets, lo), np.full_like(targets, hi)
+    for _ in range(math.ceil(math.log2(max(hi - lo, _TOL) / _TOL))):
         mid = 0.5 * (lo_arr + hi_arr)
-        if np.all((mid == lo_arr) | (mid == hi_arr)):
-            break
         below = np.asarray(f(mid)) < targets
         lo_arr = np.where(below, mid, lo_arr)
         hi_arr = np.where(below, hi_arr, mid)
-    out = 0.5 * (lo_arr + hi_arr)
-    return out
+    return 0.5 * (lo_arr + hi_arr)
 
 
 def steady_qr1(profile, q_a, n):
     """Steady state for q_r = 1 (unique for q_a > 1; shifted datum for q_a = 1).
 
-    Closed form at q_a = 2, bisection for 1 < q_a < 2.
+    Closed form at q_a = 2; for 1 < q_a < 2 one bisection, on the targets
+    -1, 0, 1 of the support edges and 2z - 1 of the nodes.
     """
     m = profile.mass
     z = midpoint_grid(n)
     if q_a == 1.0:
         if m < 1.0:
-            return SteadyState(None, np.nan, np.nan, np.nan, "none_exists")
+            return SteadyState(None, None, None, None, "none_exists")
         shift = (m - 1.0) / 2.0
-        xstar = profile.quantile(z + shift)
-        x_lo = profile.quantile(shift)
-        hi_level = shift + 1.0
-        if hi_level < m:
-            x_hi = profile.quantile(hi_level)
-        else:
-            x_hi = profile.support[1]
-        x_zero = profile.quantile(m / 2.0)
-        return SteadyState(InverseCDF(xstar), float(x_lo), float(x_hi),
-                           float(x_zero), "qa_eq_1_shift")
+        top = shift + 1.0  # the mass window [shift, top] reaches m at m = 1
+        x_hi = profile.quantile(top) if top < m else profile.support[1]
+        return SteadyState(InverseCDF(profile.quantile(z + shift)),
+                           profile.quantile(shift), x_hi,
+                           profile.quantile(m / 2.0), "qa_eq_1_shift")
     if q_a == 2.0:
         com, half = profile.com(), 0.5 / m
         return SteadyState(InverseCDF(com + (2.0 * z - 1.0) * half),
                            com - half, com + half, com, "qa_gt_1")
     pot = AttractionPotential(profile, q_a)
     lo, hi = profile.support
-    x_lo, x_zero, x_hi = invert_increasing(pot, [-1.0, 0.0, 1.0], lo, hi)
-    xstar = invert_increasing(pot, 2.0 * z - 1.0, lo, hi)
+    roots = invert_increasing(pot, np.r_[-1.0, 0.0, 1.0, 2 * z - 1], lo, hi)
+    (x_lo, x_zero, x_hi), xstar = roots[:3], roots[3:]
     return SteadyState(InverseCDF(xstar), float(x_lo), float(x_hi),
                        float(x_zero), "qa_gt_1")
 

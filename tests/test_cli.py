@@ -22,6 +22,25 @@ def write_profile(tmp_path, breakpoints, densities, name="profile.json"):
     return path
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def edit_index(text, key, where, value=None):
+    """``index.json`` text with ``key`` cut to the slice ``where``, or with
+    entry ``where`` set to ``value``."""
+    doc = json.loads(text)
+    if isinstance(where, slice):
+        doc[key] = doc[key][where]
+    else:
+        doc[key][where] = value
+    return json.dumps(doc)
+
+
+def reject_constant(name):
+    """``parse_constant`` of a strict JSON reader: NaN and Infinity fail."""
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -330,8 +349,11 @@ class TestSteady:
         out = tmp_path / "steady"
         assert cli.main(["steady", "--config", str(cfg),
                         "--out", str(out)]) == 0
-        doc = json.loads((out / "steady.json").read_text())
+        # standard JSON: the absent edges are null, not NaN
+        doc = json.loads((out / "steady.json").read_text(),
+                         parse_constant=reject_constant)
         assert doc["kind"] == "none_exists"
+        assert [doc[k] for k in ("x_lo", "x_hi", "x_zero")] == [None] * 3
         assert not (out / "steady.csv").exists()
 
     def test_qr_not_1_exit_2_before_output(self, tmp_path, capsys):
@@ -486,12 +508,31 @@ class TestEnergyAudit:
         ("index.json", lambda doc: "{not json"),
         ("config.json", lambda doc: json.dumps(
             {k: v for k, v in json.loads(doc).items() if k != "q_a"})),
+        pytest.param("index.json",
+                     lambda doc: edit_index(doc, "times", slice(0, 3)),
+                     id="times-cut"),
+        pytest.param("index.json",
+                     lambda doc: edit_index(doc, "files", slice(0, 2)),
+                     id="files-cut"),
+        pytest.param("index.json",
+                     lambda doc: edit_index(doc, "times", 1, "abc"),
+                     id="time-not-number"),
+        pytest.param("index.json",
+                     lambda doc: edit_index(doc, "files", 1, 5),
+                     id="file-not-string"),
+        pytest.param("index.json",
+                     lambda doc: edit_index(doc, "times", slice(None, None, -1)),
+                     id="times-reversed"),
+        pytest.param("index.json",
+                     lambda doc: edit_index(doc, "times", 2, NAN),
+                     id="time-nan"),
     ])
-    def test_corrupt_metadata_exit_4(self, tmp_path, name, corrupt):
+    def test_corrupt_metadata_exit_4(self, tmp_path, capsys, name, corrupt):
+        # six snapshots; each corrupt index is refused before any is read
         write_profile(tmp_path, [0.0, 1.0], [1.0])
         cfg = write_config(tmp_path, {
             "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 32,
-            "dt": 0.01, "t_end": 0.02,
+            "dt": 0.01, "t_end": 0.05,
         })
         out = tmp_path / "run"
         assert cli.main(["simulate", "--config", str(cfg),
@@ -499,6 +540,8 @@ class TestEnergyAudit:
         path = out / name
         path.write_text(corrupt(path.read_text()))
         assert cli.main(["energy-audit", "--out", str(out)]) == 4
+        assert "corrupt trajectory metadata" in capsys.readouterr().err
+        assert not (out / "balance.json").exists()
 
     def test_single_snapshot_exit_4(self, tmp_path, capsys):
         # t_end = 0 records only the initial state; the balance needs two
@@ -539,7 +582,6 @@ class TestEnergyAudit:
                         str(tmp_path / "missing")]) == 4
 
 
-NAN, INF = float("nan"), float("inf")
 
 
 class TestNonFiniteProfile:
@@ -651,6 +693,8 @@ class TestInitialKinds:
         {"initial": {"kind": "csv"}},
         {"initial": ["uniform", 0.0, 1.0]},
         {"t_fit_lo": "x"},
+        {"t_fit_lo": NAN},
+        {"t_fit_hi": INF},
         {"n": 32.9},
         {"record_every": 1.7},
         {"recrod_every": 5, "schem": "euler"},
@@ -658,7 +702,8 @@ class TestInitialKinds:
         # the key is refused before the (missing) file is read
         {"initial": {"kind": "csv", "path": "x0.csv", "pth": "x"}},
     ], ids=["uniform-no-a", "uniform-a-eq-b", "csv-no-path", "not-object",
-            "t-fit-not-number", "n-not-integral", "record-every-not-integral",
+            "t-fit-not-number", "t-fit-lo-nan", "t-fit-hi-infinity",
+            "n-not-integral", "record-every-not-integral",
             "top-level-typo", "uniform-stray-key", "csv-stray-key"])
     def test_malformed_exit_2_before_output(self, tmp_path, capsys, doc):
         write_profile(tmp_path, [0.0, 1.0], [1.0])

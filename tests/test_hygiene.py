@@ -199,6 +199,24 @@ def test_invert_increasing_has_no_tol():
     assert "tol" not in [arg.arg for arg in func.args.args]
 
 
+def test_steady_qr1_inverts_the_drift_once():
+    # the support edges and the node levels share one bracket
+    func = top_function("steady", "steady_qr1")
+    calls = [node.lineno for node in ast.walk(func)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "invert_increasing"]
+    assert len(calls) == 1, f"invert_increasing called at lines {calls}"
+
+
+def test_invert_increasing_has_no_while():
+    # the bisection halves its bracket a number of times known in advance
+    func = top_function("steady", "invert_increasing")
+    loops = [node.lineno for node in ast.walk(func)
+             if isinstance(node, ast.While)]
+    assert loops == [], f"while loop at lines {loops}"
+
+
 def test_simulate_takes_no_quad_or_callback():
     # a quadrature flow is step with AttractionPotential(profile, q_a, quad),
     # and the trajectory's states are every recorded state

@@ -6,6 +6,7 @@ from arflow import (
     Exponents,
     InverseCDF,
     ReferenceProfile,
+    kernels,
     sample_profile,
     steady_qr1,
     steady_residual,
@@ -34,6 +35,10 @@ class TestInvertIncreasing:
         with pytest.raises(OverflowError, match="bracket"):
             invert_increasing(f, [-1.0, 1.0], 0.0, 1.0)
 
+    def test_infinite_bracket_overflows(self):
+        # the halving count ceil(log2(width / tol)) has no finite value
+        with pytest.raises(OverflowError):
+            invert_increasing(lambda x: x, [0.0], -np.inf, np.inf)
 
     def test_roots_beyond_float_spacing_of_tol(self):
         # near 1e6 adjacent floats are 1.2e-10 apart, far above tol = 1e-12
@@ -135,6 +140,26 @@ class TestSteadyQr1:
             assert pot(ss.x_zero) == pytest.approx(0.0, abs=1e-10)
             assert pot(ss.x_hi) == pytest.approx(1.0, abs=1e-10)
             assert ss.x_lo < ss.x_zero < ss.x_hi
+
+    def test_one_bisection_for_edges_and_nodes(self, gap_profile,
+                                               monkeypatch):
+        # rebinding the module name counts every drift evaluation, as the
+        # benchmark's tracer does: 2 for the bracket and ceil(log2(3e12)) =
+        # 42 halvings, where inverting edges and nodes apart took 88
+        calls = []
+        drift = kernels.attraction_U
+
+        def counted(pot, x):
+            calls.append(np.size(x))
+            return drift(pot, x)
+
+        monkeypatch.setattr(kernels, "attraction_U", counted)
+        n = 1600
+        ss = steady_qr1(gap_profile, 1.5, n)
+        assert len(calls) <= 50
+        assert max(calls) == n + 3
+        assert ss.x_lo < ss.Xstar.x_values[0] < ss.x_zero \
+            < ss.Xstar.x_values[-1] < ss.x_hi
 
     def test_strictly_increasing_and_median(self, uniform_profile):
         n = 400
