@@ -15,6 +15,7 @@ from .energetics import (
     XiGrid,
     dissipation,
     energy,
+    energy_and_velocity,
     energy_balance,
     fourier_energy,
     moment_certificate,

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import energetics, steady
-from .dynamics import IntegratorConfig, MonotonicityError, rhs, simulate
-from .kernels import AttractionPotential, Exponents
+from .dynamics import IntegratorConfig, MonotonicityError, simulate
+from .kernels import Exponents
 from .measures import InverseCDF, ReferenceProfile, sample_profile, \
     uniform_state, wasserstein
 from .particles import discrete_energy, particle_rhs
@@ -183,10 +183,13 @@ def _rate_fit(cfg, name, t, y, scale):
     return {f"rate_{name}": rate, f"r2_{name}": r2, f"fit_{name}": fit}
 
 
-def _write_json(path, doc):
-    # standard JSON: a non-finite float raises before the file is opened
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n")
+def _json_text(doc):
+    """``doc`` as standard JSON; a NaN or infinity is an overflow (exit 3)."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise OverflowError(f"non-finite value in output: {exc}") from exc
+    return text + "\n"
 
 
 def cmd_simulate(config, out):
@@ -195,30 +198,19 @@ def cmd_simulate(config, out):
         traj = simulate(cfg.initial, cfg.profile, cfg.exps, cfg.integrator)
     except ValueError as exc:  # a tied initial state or the step-size guard
         raise ConfigError(str(exc)) from exc
-    reports = [energetics.make_report(s.t, s.X, cfg.profile, cfg.exps)
-               for s in traj.states]
     ss = (steady.steady_qr1(cfg.profile, cfg.exps.q_a, cfg.n)
           if cfg.exps.q_r == 1.0 else None)
-    # a run that fails writes nothing
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
-    for i, state in enumerate(traj.states):
-        name = f"snapshot_{i:04d}.csv"
-        state.X.to_csv(out / name)
-        files.append(name)
-    _write_json(
-        out / "index.json",
-        {
-            "times": [s.t for s in traj.states],
-            "files": files,
-            "min_slope": [s.min_slope for s in traj.states],
-        },
-    )
-    energetics.reports_to_csv(reports, out / "energy.csv")
-    _write_json(out / "config.json",
-                {**cfg.doc, "profile_inline": cfg.profile.to_doc()})
-
+    # a run that fails writes nothing, so every output is built first; an
+    # overflowed report or distance is refused before energy_balance and
+    # the W2 differences would warn on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = [energetics.make_report(s.t, s.X, cfg.profile, cfg.exps)
+                   for s in traj.states]
+        w2 = np.array([wasserstein(s.X, ss.Xstar, 2.0) for s in traj.states]
+                      if ss is not None and ss.kind != "none_exists" else [])
+    values = [(r.E, r.D, r.moment_qa, r.moment_r) for r in reports]
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(w2))):
+        raise OverflowError("an energy report or a W2 distance overflowed")
     com = cfg.profile.com()
     com_err = np.array([abs(s.X.mean() - com) for s in traj.states])
     summary = {
@@ -230,15 +222,28 @@ def cmd_simulate(config, out):
         if len(reports) >= 2
         else None,
     }
-    if ss is not None and ss.kind != "none_exists":
-        w2 = [wasserstein(s.X, ss.Xstar, 2.0) for s in traj.states]
+    if w2.size:
         summary.update(
-            final_w2_to_steady=w2[-1],
+            final_w2_to_steady=float(w2[-1]),
             w2_nonincreasing=bool(np.all(np.diff(w2) <= 1e-10)),
-            **_rate_fit(cfg, "w2", traj.times, np.array(w2),
+            **_rate_fit(cfg, "w2", traj.times, w2,
                         float(np.max(np.abs(ss.Xstar.x_values)))),
         )
-    _write_json(out / "summary.json", summary)
+    files = [f"snapshot_{i:04d}.csv" for i in range(len(traj.states))]
+    docs = {
+        "index.json": {"times": [s.t for s in traj.states], "files": files,
+                       "min_slope": [s.min_slope for s in traj.states]},
+        "config.json": {**cfg.doc, "profile_inline": cfg.profile.to_doc()},
+        "summary.json": summary,
+    }
+    texts = {name: _json_text(doc) for name, doc in docs.items()}
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for state, name in zip(traj.states, files):
+        state.X.to_csv(out / name)
+    energetics.reports_to_csv(reports, out / "energy.csv")
+    for name, text in texts.items():
+        (out / name).write_text(text)
     return EXIT_OK
 
 
@@ -253,8 +258,9 @@ def cmd_steady(config, out):
     out.mkdir(parents=True, exist_ok=True)
     if ss.Xstar is not None:
         ss.Xstar.to_csv(out / "steady.csv")
-    _write_json(out / "steady.json", {"x_lo": ss.x_lo, "x_hi": ss.x_hi,
-                                      "x_zero": ss.x_zero, "kind": ss.kind})
+    (out / "steady.json").write_text(_json_text({
+        "x_lo": ss.x_lo, "x_hi": ss.x_hi, "x_zero": ss.x_zero,
+        "kind": ss.kind}))
     return EXIT_OK
 
 
@@ -297,15 +303,13 @@ def cmd_oracle_check(config, seed):
     scale_rhs = scale_energy = 0.0
     for q_a, q_r in ORACLE_PAIRS:
         exps = Exponents(q_a, q_r)
-        pot = AttractionPotential(cfg.profile, q_a)
         for _ in range(ORACLE_CASES):
             X = InverseCDF(np.sort(centre + rng.uniform(-2.0, 3.0, cfg.n)))
             v = particle_rhs(X, cfg.profile, exps)
             e = discrete_energy(X, cfg.profile, exps)
-            dv = np.max(np.abs(rhs(X, pot, exps) - v))
-            de = abs(energetics.energy(X, cfg.profile, exps) - e)
-            worst_rhs = max(worst_rhs, float(dv))
-            worst_energy = max(worst_energy, float(de))
+            E, V = energetics.energy_and_velocity(X, cfg.profile, exps)
+            worst_rhs = max(worst_rhs, float(np.max(np.abs(V - v))))
+            worst_energy = max(worst_energy, abs(E - e))
             scale_rhs = max(scale_rhs, float(np.max(np.abs(v))))
             scale_energy = max(scale_energy, abs(float(e)))
     # the gate is absolute, which assumes unit-scale data
@@ -370,7 +374,7 @@ def cmd_energy_audit(out):
         "E_final": reports[-1].E,
         "min_dissipation": min(r.D for r in reports),
     }
-    _write_json(traj_dir / "balance.json", doc)
+    (traj_dir / "balance.json").write_text(_json_text(doc))
     print(f"energy-audit: defect {defect:.6e} "
           f"(E drop {reports[0].E - reports[-1].E:.6e})")
     return EXIT_OK

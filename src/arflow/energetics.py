@@ -3,19 +3,19 @@
 Every datum term is exact for the piecewise-constant datum unless a caller
 passes a ``MassQuadrature``.  The attraction term is the mean of
 psi_a * omega over the state's nodes and the datum's self term a double sum
-over its signed atoms, both from the datum sums of ``kernels``.  The
-repulsion term is a midpoint double sum in mass coordinates, taken on the
-sorted state through the pair-sum helpers of ``kernels``.  The Fourier form
-evaluates the same quadratic energy through characteristic functions.  On
-that side every measure is a set of pieces (centre, mass, width): the
-datum's own pieces, uniform on their widths, or point masses (width None),
-which are the state's nodes or a quadrature's nodes.  One sum over
-the pieces gives each transform, one formula their moments, and one helper
-integrates the difference of two transforms over xi, on Gauss-Legendre
-panels uniform in ln xi, with an error bound that holds the truncated head
-and tail and the rule's own error.  The moment certificates turn the
-a-priori bounds on energy sublevels into checkable per-snapshot
-inequalities; they take their Fourier-side term exactly, in real space.
+over its signed atoms, both from the datum sums of ``kernels``.  The pair
+term comes from the repulsion term by Euler's identity, so a state's energy
+and velocity take one repulsion sum.  The Fourier form evaluates the same
+quadratic energy through characteristic functions.  On that side every
+measure is a set of pieces (centre, mass, width): the datum's own pieces,
+uniform on their widths, or point masses (width None), which are the
+state's nodes or a quadrature's nodes.  One sum over the pieces gives each
+transform, one formula their moments, and one helper integrates the
+difference of two transforms over xi, on Gauss-Legendre panels uniform in
+ln xi, with an error bound that holds the truncated head and tail and the
+rule's own error.  The moment certificates turn the a-priori bounds on
+energy sublevels into checkable per-snapshot inequalities; they take their
+Fourier-side term exactly, in real space.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import rhs
+from . import dynamics
 from .kernels import AttractionPotential, Exponents, _datum_atoms, \
-    _datum_conv, _level_factor, _pair_sum, _scratch_blocks
+    _datum_conv, _datum_sum, _scratch_blocks
 from .measures import moment
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "FourierEnergy",
     "CertificateResult",
     "energy",
+    "energy_and_velocity",
     "dissipation",
     "energy_balance",
     "make_report",
@@ -99,22 +100,36 @@ def _moment_order(q):
     return q / 2.0 - 0.1
 
 
+def energy_and_velocity(X, profile, exps, quad=None):
+    """Energy E and velocity V = rep - U(x) at X, from one repulsion sum.
+
+    rep is ``dynamics.repulsion_term``, as ``rhs`` takes it.  The pair sum
+    R = sum_{i<j} |x_j - x_i|^{q_r} is translation invariant and homogeneous
+    of degree q_r, with gradient n rep, so for any pivot c Euler's identity
+    sum_i (x_i - c) d_i R = q_r R gives E = mean(psi_a * omega)(x)
+    - (x - c) . rep / (n q_r).  Far from the origin every x_i lies within a
+    factor of 2 of c = x[n // 2], so x - c is exact and the term rounds with
+    the state's spread, not with |x|.  Exact datum terms unless ``quad``.
+    """
+    x = X.x_values
+    rep = dynamics.repulsion_term(x, X.z_grid, exps.q_r)
+    attr = float(np.mean(_datum_conv(profile, exps.q_a, x, quad)))
+    pairs = float((x - x[x.size // 2]) @ rep) / (X.n * exps.q_r)
+    return attr - pairs, rep - AttractionPotential(profile, exps.q_a, quad)(x)
+
+
 def energy(X, profile, exps, quad=None):
     """Interaction energy; the datum term is exact unless ``quad`` is given."""
-    x = X.x_values
-    attr = float(np.mean(_datum_conv(profile, exps.q_a, x, quad)))
-    return attr - 0.5 * _pair_sum(x, np.full(X.n, 1.0 / X.n), exps.q_r)
+    return energy_and_velocity(X, profile, exps, quad)[0]
 
 
 def dissipation(X, profile, exps, quad=None):
-    """D = (1/n) sum V_i^2 with V the evolution velocity.
+    """D = (1/n) sum V_i^2 with V the velocity of ``energy_and_velocity``.
 
-    For q_r = 1 this evaluates the same formula through the rank substitution
-    and is a formal extension of the q_r > 1 dissipation identity.  The drift
-    is exact unless ``quad`` is given.
+    At q_r = 1 the rank substitution makes this a formal extension of the
+    q_r > 1 dissipation identity.
     """
-    pot = AttractionPotential(profile, exps.q_a, quad)
-    v = rhs(X, pot, exps)
+    v = energy_and_velocity(X, profile, exps, quad)[1]
     return float(np.mean(v * v))
 
 
@@ -133,10 +148,11 @@ def energy_balance(reports):
 
 
 def make_report(t, X, profile, exps, quad=None):
+    E, v = energy_and_velocity(X, profile, exps, quad)
     return EnergyReport(
         t=float(t),
-        E=energy(X, profile, exps, quad),
-        D=dissipation(X, profile, exps, quad),
+        E=E,
+        D=float(np.mean(v * v)),
         moment_qa=moment(X, exps.q_a),
         moment_r=moment(X, _moment_order(exps.q_a)),
     )
@@ -302,12 +318,11 @@ def self_energy_constant(profile, q, quad=None):
 
     Over the datum's atoms (y, c, k) the double integral is
     (-1)^k sum_ij c_i c_j G(y_i - y_j), with G the 2k-th primitive of
-    |u|^q: integration by parts in both variables.  Exact unless ``quad``
-    is given.
+    |u|^q: integration by parts in both variables.  That is level k of the
+    datum sum at the atoms, weighted by c.  Exact unless ``quad`` is given.
     """
-    y, c, k = _datum_atoms(profile, quad)
-    pairs = _pair_sum(y, c, q + 2 * k)
-    return 0.5 * (-1) ** k * _level_factor(q, 2 * k) * pairs
+    y, c, k = atoms = _datum_atoms(profile, quad)
+    return 0.5 * (-1) ** k * float(c @ _datum_sum(y, q, atoms, k))
 
 
 # -- moment certificates -------------------------------------------------

@@ -10,8 +10,8 @@ primitive of |d|^q that the atoms need, so U, psi_a * omega and the datum's
 self term are each one level of it.  Only q_a = 1 (U = 2G - m) and the exact
 datum at q = 2 keep O(n) closed forms.
 
-Pair sums over quantile samples use their order: at q = 1 and q = 2 they
-have O(n) closed forms, and otherwise each pair is visited once.  Every
+Only the repulsion sums over pairs of nodes, each pair once on the sorted
+state (``_half_triangle``); the energy takes its pair term from it.  Every
 dense sum runs in row blocks of at most ``_BLOCK_ELEMS`` elements, built with
 ``out=`` ufunc chains in one scratch buffer per call (``_scratch_blocks``), so
 memory stays flat as n grows and no block faults in fresh pages.  Each block
@@ -129,27 +129,6 @@ def _half_triangle(x, p):
                 _pow(d, p)
             np.copyto(d[:, :r], 0.0, where=own)
             yield rows, d
-
-
-def _pair_sum(x, w, q):
-    """sum_ij w_i w_j |x_i - x_j|^q for nondecreasing x.
-
-    The closed forms at q = 1 and q = 2 need a nonzero total weight; the
-    blocked sum takes weights of any sign and total.
-    """
-    if q in (1.0, 2.0):
-        total = np.sum(w)
-        centred = x - (w @ x) / total
-        if q == 2.0:
-            return float(2.0 * total * (w @ (centred * centred)))
-        # pair i < j adds w_i w_j (x_j - x_i): x_i collects the mass below
-        # it minus the mass above it
-        cum = np.cumsum(w)
-        return float(2.0 * ((w * centred) @ (2.0 * cum - w - cum[-1])))
-    out = 0.0
-    for rows, d in _half_triangle(x, q):
-        out += w[rows] @ d @ w[rows.start:]
-    return float(2.0 * out)
 
 
 def _datum_atoms(profile, quad=None):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arflow import ReferenceProfile
+from arflow import ReferenceProfile, dynamics, kernels
 from arflow.kernels import _check_q
 
 
@@ -76,3 +76,17 @@ def gap_profile():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def pair_passes(monkeypatch):
+    """The exponent of every ``_half_triangle`` pass, through the binding of
+    ``kernels`` or of ``dynamics``."""
+    passes = []
+    for module in (kernels, dynamics):
+        def counted(x, p, inner=module._half_triangle):
+            passes.append(p)
+            return inner(x, p)
+
+        monkeypatch.setattr(module, "_half_triangle", counted)
+    return passes

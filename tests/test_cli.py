@@ -210,6 +210,20 @@ class TestSimulate:
         assert code == 3
         assert "integration aborted" in capsys.readouterr().err
 
+    def test_overflowed_report_exit_3_before_output(self, tmp_path, capsys):
+        # the state at 1e160 stays finite, but its energy and moments do
+        # not; energy_balance would warn on them, and JSON cannot hold them
+        write_profile(tmp_path, [1e160, 1.5e160], [2e-160])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 1.5, "n": 32,
+            "dt": 0.01, "t_end": 0.02,
+        })
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 3
+        assert "integration aborted" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_determinism(self, tmp_path, q2_m2_config):
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"
@@ -468,9 +482,21 @@ class TestOracleCheck:
         assert np.concatenate(parts).tolist() == whole.tolist()
         assert np.all((whole >= -2.0) & (whole < 3.0))
 
+    def test_one_pair_pass_per_state(self, tmp_path, capsys, monkeypatch,
+                                     pair_passes):
+        # the kernel side's energy comes from its velocity's repulsion sum
+        monkeypatch.setattr(cli, "ORACLE_PAIRS", [(1.8, 1.4)])
+        monkeypatch.setattr(cli, "ORACLE_CASES", 1)
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 64,
+        })
+        assert cli.main(["oracle-check", "--config", str(cfg)]) == 0
+        assert pair_passes == [pytest.approx(0.4)]
+
     @pytest.mark.parametrize("module,name", [
         (kernels, "_datum_sum"),
-        # energetics.energy reads psi_a * omega through its own binding
+        # energetics reads psi_a * omega through its own binding
         (energetics, "_datum_conv"),
     ])
     def test_detects_perturbed_exact_datum(self, tmp_path, capsys,

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from arflow import (
     ReferenceProfile,
     dissipation,
     energy,
+    energy_and_velocity,
     energy_balance,
     fourier_energy,
     moment_certificate,
@@ -20,6 +22,7 @@ from arflow import (
     simulate,
     uniform_state,
 )
+from arflow.dynamics import rhs
 from arflow.energetics import (
     EnergyReport,
     XiGrid,
@@ -33,7 +36,7 @@ from arflow.energetics import (
     self_energy_constant,
     tilde_energy,
 )
-from arflow.kernels import _datum_conv
+from arflow.kernels import AttractionPotential, _datum_conv
 from arflow.measures import midpoint_grid
 from arflow.steady import steady_qr1
 from conftest import psi, psi_prime
@@ -437,7 +440,7 @@ class TestReportCsv:
 
 
 class TestSortedPairSums:
-    """Closed forms (q = 1, 2) and blocked sums against dense double sums."""
+    """The pair terms against dense double sums and exact references."""
 
     @staticmethod
     def uneven_quad(profile, rng, m_nodes):
@@ -497,3 +500,49 @@ class TestSortedPairSums:
                      - np.sum(psi(q_r, x[:, None] - x)) / (2.0 * n * n))
             e = energy(X, prof, Exponents(q_a, q_r), quad)
             assert abs(e - dense) <= 1e-9
+
+    def test_rank_pair_term_exact(self):
+        # at q_r = 1 the pair term is sum_i x_i (2i - 1 - n) / n^2 on sorted
+        # x; a cumulative sum of rank weights lost 7e-14 of it at n = 3200
+        prof = ReferenceProfile([-0.6, -0.1, 0.3, 0.7], [0.9, 1.2, 0.7])
+        n = 3200
+        X = sample_profile(prof, n)
+        x = X.x_values
+        exact = sum(Fraction(float(v)) * (2 * i - 1 - n)
+                    for i, v in enumerate(x, 1)) / (n * n)
+        attr = float(np.mean(_datum_conv(prof, 2.0, x)))
+        e = energy(X, prof, Exponents(2.0, 1.0))
+        assert abs(Fraction(attr) - Fraction(e) - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("q_a,q_r", [(2.0, 2.0), (2.0, 1.0), (1.5, 1.4),
+                                         (2.0, 1.5)])
+    def test_narrow_state_far_from_origin(self, q_a, q_r):
+        # a state and datum 1e-3 wide at c against their exact translate to
+        # the origin: a pair term centred on a mean that rounds at ulp(c)
+        # kept its second-order error, 6e-9 of E at c = 1e8 for q = 2
+        n = 120
+        for c in (1e4, 1e6, 1e8):
+            b = np.array([c, c + 1e-3])
+            far = (uniform_state(c, c + 1e-3, n),
+                   ReferenceProfile(b, [1.0 / (b[1] - b[0])]))
+            near = (InverseCDF(far[0].x_values - c),
+                    ReferenceProfile(b - c, far[1].densities))
+            e_far, e_near = (energy(X, prof, Exponents(q_a, q_r))
+                             for X, prof in (far, near))
+            assert abs(e_far - e_near) <= 1e-15 * abs(e_near), c
+
+
+class TestEnergyAndVelocity:
+    @pytest.mark.parametrize("q_a,q_r", [(1.8, 1.4), (2.0, 1.0), (2.0, 2.0)])
+    def test_velocity_is_rhs(self, gap_profile, q_a, q_r):
+        X = sample_profile(gap_profile, 97)
+        exps = Exponents(q_a, q_r)
+        _, v = energy_and_velocity(X, gap_profile, exps)
+        pot = AttractionPotential(gap_profile, q_a)
+        assert np.array_equal(v, rhs(X, pot, exps))
+
+    def test_report_makes_one_pair_pass(self, gap_profile, pair_passes):
+        # the energy's pair term comes from the repulsion's sum
+        X = sample_profile(gap_profile, 97)
+        make_report(0.0, X, gap_profile, Exponents(1.8, 1.4))
+        assert pair_passes == [pytest.approx(0.4)]

@@ -19,8 +19,7 @@ from arflow import (
 from arflow.dynamics import repulsion_direct
 from arflow.energetics import self_energy_constant
 from arflow.kernels import _BLOCK_ELEMS, _datum_atoms, _datum_conv, \
-    _datum_sum, _differences, _half_triangle, _pair_sum, _pow, \
-    _scratch_blocks
+    _datum_sum, _differences, _half_triangle, _pow, _scratch_blocks
 from conftest import psi, psi_double_prime, psi_prime
 
 
@@ -263,22 +262,26 @@ class TestDatumSum:
 
 
 class TestPairSumFarFromOrigin:
-    """The q = 1, 2 closed forms of ``_pair_sum`` far from the origin.
+    """The energy's pair term far from the origin.
 
-    They centre x on a weighted mean that rounds at ulp(c), and need no
-    pivot: the error of the mean cancels to first order.  At q = 2 it
-    multiplies sum_i w_i (x_i - mean), which is zero; at q = 1 the rank
-    weights 2 cum_i - w_i - total, which sum to zero against w.
+    It comes from the repulsion term by Euler's identity, about the middle
+    node, so it takes only differences of nodes, which are exact on a
+    state and its translate by c.  The datum term, translated with the
+    state, is taken apart.
     """
 
     @pytest.mark.parametrize("c", [1e4, 1e6, 1e8])
     @pytest.mark.parametrize("q", [1.0, 2.0])
     def test_translation(self, rng, q, c):
-        for w in (np.full(200, 1.0 / 200), rng.uniform(0.1, 1.0, 200)):
-            far = np.sort(rng.uniform(-2.0, 3.0, 200)) + c
-            near = far - c  # exact, so far is near translated by c
-            a, b = _pair_sum(near, w, q), _pair_sum(far, w, q)
-            assert abs(b - a) <= 1.6e-15 * abs(a)
+        far = np.sort(rng.uniform(-2.0, 3.0, 200)) + c
+        near = far - c  # exact, so far is near translated by c
+        pairs = []
+        for x, b in ((near, 0.0), (far, c)):
+            prof = ReferenceProfile([b, b + 1.0], [1.0])
+            attr = np.mean(_datum_conv(prof, 2.0, x))
+            pairs.append(attr - energy(InverseCDF(x), prof, Exponents(2.0, q)))
+        a, b = pairs
+        assert abs(b - a) <= 1.6e-15 * abs(a)
 
 
 class TestMemoryCap:
