@@ -362,11 +362,16 @@ def cmd_energy_audit(out):
             f"trajectory in {traj_dir} has {len(snapshots)} snapshot(s); "
             f"the energy balance needs at least two"
         )
-    reports = [
-        energetics.make_report(t, _read_state(traj_dir / name),
-                               profile, exps)
-        for t, name in snapshots
-    ]
+    # an overflowed report is refused before energy_balance would warn on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = [
+            energetics.make_report(t, _read_state(traj_dir / name),
+                                   profile, exps)
+            for t, name in snapshots
+        ]
+    if not np.all(np.isfinite([(r.E, r.D, r.moment_qa, r.moment_r)
+                               for r in reports])):
+        raise OSError(f"corrupt trajectory in {traj_dir}: a report overflowed")
     defect = energetics.energy_balance(reports)
     doc = {
         "defect": defect,

@@ -1,21 +1,22 @@
 """Energy, dissipation, the Fourier-side energy, and moment certificates.
 
 Every datum term is exact for the piecewise-constant datum unless a caller
-passes a ``MassQuadrature``.  The attraction term is the mean of
-psi_a * omega over the state's nodes and the datum's self term a double sum
-over its signed atoms, both from the datum sums of ``kernels``.  The pair
-term comes from the repulsion term by Euler's identity, so a state's energy
-and velocity take one repulsion sum.  The Fourier form evaluates the same
-quadratic energy through characteristic functions.  On that side every
-measure is a set of pieces (centre, mass, width): the datum's own pieces,
-uniform on their widths, or point masses (width None), which are the
-state's nodes or a quadrature's nodes.  One sum over the pieces gives each
-transform, one formula their moments, and one helper integrates the
-difference of two transforms over xi, on Gauss-Legendre panels uniform in
-ln xi, with an error bound that holds the truncated head and tail and the
-rule's own error.  The moment certificates turn the a-priori bounds on
-energy sublevels into checkable per-snapshot inequalities; they take their
-Fourier-side term exactly, in real space.
+passes a ``MassQuadrature``, and reads the datum in the one form of
+``kernels._pieces``.  The attraction term is the mean of psi_a * omega over
+the state's nodes and the datum's self term its integral against the datum,
+both from the datum sums of ``kernels``.  The pair term comes from the
+repulsion term by Euler's identity, so a state's energy and velocity take
+one repulsion sum.  The Fourier form evaluates the same quadratic energy
+through characteristic functions.  On that side every measure is a set of
+pieces in that same form: the datum's own pieces, uniform on their widths,
+or point masses (width None), which are the state's nodes or a quadrature's
+nodes.  One sum over the pieces gives each transform, one formula their
+moments, and one helper integrates the difference of two transforms over
+xi, on Gauss-Legendre panels uniform in ln xi, with an error bound that
+holds the truncated head and tail and the rule's own error.  The moment
+certificates turn the a-priori bounds on energy sublevels into checkable
+per-snapshot inequalities; they take their Fourier-side term exactly, in
+real space.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .kernels import AttractionPotential, Exponents, _datum_atoms, \
-    _datum_conv, _datum_sum, _scratch_blocks
+from .kernels import AttractionPotential, Exponents, _datum_conv, \
+    _datum_sum, _pieces, _scratch_blocks
 from .measures import moment
 
 __all__ = [
@@ -180,33 +181,26 @@ def dq_constant(q):
     )
 
 
-def _datum_pieces(profile, quad=None, shift=0.0):
-    """The datum translated by -shift as pieces (centre, mass, width).
+def _centres(pieces):
+    """Centres, masses and widths of pieces in ``kernels._pieces``' form.
 
-    On the Fourier side every measure is such a set of pieces: mass m
-    spread uniformly over [c - w/2, c + w/2], or a point mass where the
-    widths are None, with one mass per piece.  The datum is exact by
-    pieces unless ``quad`` is given: piece k of density rho_k on
-    [b_k, b_k + w_k] has centre b_k + w_k/2 and mass rho_k w_k.  A ``quad``
-    gives the point masses of ``kernels._datum_atoms``.
+    A piece of density rho on [a, a + w] has centre a + w/2 and mass rho w;
+    a point mass (w None) is its own centre.
     """
-    if quad is not None:
-        y, w, _ = _datum_atoms(profile, quad)
-        return y - shift, w, None
-    b = profile.breakpoints
-    width = np.diff(b)
-    return b[:-1] + 0.5 * width - shift, profile.densities * width, width
+    a, w, rho = pieces
+    return (a, rho, w) if w is None else (a + 0.5 * w, rho * w, w)
 
 
 def _char_fn(pieces, xi):
     """sum_j m_j e^{-i xi c_j} sinc(xi w_j / 2) at each xi.
 
-    The pieces are those of ``_datum_pieces``.  Uniform pieces do not
-    cancel at small xi as the datum's breakpoint (jump) form does.  Without
-    widths no sinc is taken, so a point sum costs cos and sin only.  Runs in
-    xi-row blocks under the kernel memory cap.
+    The pieces are in ``kernels._pieces``' form, with centres c_j and
+    masses m_j from ``_centres``.  Uniform pieces do not cancel at small xi
+    as the datum's breakpoint (jump) form does.  Without widths no sinc is
+    taken, so a point sum costs cos and sin only.  Runs in xi-row blocks
+    under the kernel memory cap.
     """
-    centre, mass, width = pieces
+    centre, mass, width = _centres(pieces)
     out = np.empty(xi.size, dtype=complex)
     temps = 2 if width is None else 3
     for rows, *amp, phase, trig in _scratch_blocks(xi.size, centre.size,
@@ -227,7 +221,7 @@ def _char_fn(pieces, xi):
 
 def _moments(pieces):
     """First three moments of the pieces, each uniform on its width."""
-    centre, mass, width = pieces
+    centre, mass, width = _centres(pieces)
     w2 = 0.0 if width is None else width**2
     terms = (centre, centre**2 + w2 / 12.0, centre**3 + centre * w2 / 4.0)
     return tuple(float(mass @ t) for t in terms)
@@ -307,8 +301,9 @@ def fourier_energy(X, profile, q, quad=None):
     if abs(profile.mass - 1.0) > 1e-12:
         raise ValueError("fourier energy requires a unit-mass datum")
     shift = profile.com()
-    mu = (X.x_values - shift, np.full(X.n, 1.0 / X.n), None)
-    value, bound = _xi_integral(mu, _datum_pieces(profile, quad, shift), q)
+    a, w, rho = _pieces(profile, quad)
+    mu = (X.x_values - shift, None, np.full(X.n, 1.0 / X.n))
+    value, bound = _xi_integral(mu, (a - shift, w, rho), q)
     dq = dq_constant(q)
     return FourierEnergy(dq * value, dq * bound)
 
@@ -316,13 +311,17 @@ def fourier_energy(X, profile, q, quad=None):
 def self_energy_constant(profile, q, quad=None):
     """C = 1/2 double integral of |x-y|^q against the datum twice.
 
-    Over the datum's atoms (y, c, k) the double integral is
-    (-1)^k sum_ij c_i c_j G(y_i - y_j), with G the 2k-th primitive of
-    |u|^q: integration by parts in both variables.  That is level k of the
-    datum sum at the atoms, weighted by c.  Exact unless ``quad`` is given.
+    That is half the integral of psi_q * omega, level 0 of the datum sum,
+    against omega.  A point mass rho_j at a_j adds rho_j times level 0 at
+    a_j.  Level 1 is a primitive of level 0 in x, so a piece of density
+    rho_j on [a_j, a_j + w_j] adds rho_j times the difference of level 1
+    between its two ends.  Exact unless ``quad`` is given.
     """
-    y, c, k = atoms = _datum_atoms(profile, quad)
-    return 0.5 * (-1) ** k * float(c @ _datum_sum(y, q, atoms, k))
+    a, w, rho = pieces = _pieces(profile, quad)
+    if w is None:
+        return 0.5 * float(rho @ _datum_sum(a, q, pieces, 0))
+    right, left = _datum_sum(np.stack([a + w, a]), q, pieces, 1)
+    return 0.5 * float(rho @ (right - left))
 
 
 # -- moment certificates -------------------------------------------------

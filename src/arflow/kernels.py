@@ -2,13 +2,11 @@
 
 The drift generated by the datum is U = psi_a' * omega, which is Lipschitz;
 its constant doubles as the step-size guard for the integrator.  Every datum
-term goes through one sum over the datum's signed atoms (``_datum_atoms``):
-the breakpoints with their density jumps, exact for the piecewise-constant
-datum, or the nodes and weights of a ``MassQuadrature`` where a caller
-passes one, as the particle oracle's reference.  ``_datum_sum`` takes the
-primitive of |d|^q that the atoms need, so U, psi_a * omega and the datum's
-self term are each one level of it.  Only q_a = 1 (U = 2G - m) and the exact
-datum at q = 2 keep O(n) closed forms.
+term is one sum (``_datum_sum``) over the datum's one representation
+(``_pieces``): its pieces, exact, or the point masses of a ``MassQuadrature``
+where a caller passes one, as the particle oracle's reference.  U,
+psi_a * omega and the datum's self term are each one level of it.  Only
+q_a = 1 (U = 2G - m) and the exact datum at q = 2 keep O(n) closed forms.
 
 Only the repulsion sums over pairs of nodes, each pair once on the sorted
 state (``_half_triangle``); the energy takes its pair term from it.  Every
@@ -131,56 +129,65 @@ def _half_triangle(x, p):
             yield rows, d
 
 
-def _datum_atoms(profile, quad=None):
-    """The datum as signed atoms ``(y, c, k)``: nodes, weights, and order.
+def _pieces(profile, quad=None):
+    """The datum as pieces ``(a, w, rho)``: density rho_k on [a_k, a_k + w_k].
 
-    An integral of K against omega is sum_j c_j K^{(-k)}(x - y_j), with
-    K^{(-k)} the k-th primitive of K.  A ``quad`` gives its nodes Y(zeta_j)
-    and weights, k = 0.  Without one the atoms are the breakpoints b_j with
-    the density jumps rho_j - rho_{j-1} (rho = 0 off the support), k = 1:
-    integration by parts on each piece, exact.
+    w_k is the difference of the piece's breakpoints as stored, and pieces
+    of density 0 are dropped.  A ``quad`` gives point masses instead, w
+    None: its nodes Y(zeta_j) with its weights.
     """
-    if quad is None:
-        jumps = np.diff(np.concatenate([[0.0], profile.densities, [0.0]]))
-        return profile.breakpoints, jumps, 1
-    y = np.asarray(profile.quantile(quad.nodes), dtype=float)
-    y.setflags(write=False)
-    return y, quad.weights, 0
+    if quad is not None:
+        y = np.asarray(profile.quantile(quad.nodes), dtype=float)
+        y.setflags(write=False)
+        return y, None, quad.weights
+    b, rho = profile.breakpoints, profile.densities
+    keep = rho > 0
+    return b[:-1][keep], np.diff(b)[keep], rho[keep]
 
 
-def _level_factor(q, level):
-    """Constant of the level-th primitive of |d|^q, and q at level -1."""
-    if level < 0:
-        return q
-    return 1.0 / math.prod(q + j for j in range(1, level + 1))
+def _signed_pow(d, p, odd, out=None):
+    """sgn(d)^odd |d|^p, into ``out`` (d itself only where not odd)."""
+    out = _pow(np.abs(d, out=out), p)
+    return np.copysign(out, d, out=out) if odd else out
 
 
-def _datum_sum(x, q, atoms, level):
-    """sum_j c_j K(x - y_j) per x, over the atoms of ``_datum_atoms``.
+def _datum_sum(x, q, pieces, level):
+    """int K(x - y) d omega(y) per x, over the pieces of ``_pieces``.
 
-    K is the (level + k)-th primitive of |d|^q, level >= -1: q sgn(d)
-    |d|^{q-1} at -1, and sgn(d)^l |d|^{q+l} / ((q+1)...(q+l)) at l >= 0.
-    So level -1 is psi_q' * omega and level 0 is psi_q * omega.  The power
-    q + level + k must be positive.  Even levels take |d| in place; odd
-    ones need a second block for the sign.
+    K is the level-th primitive of |d|^q, level >= -1: q sgn(d) |d|^{q-1}
+    at -1, and sgn(d)^l |d|^{q+l} / ((q+1)...(q+l)) at l >= 0.  So level -1
+    is psi_q' * omega and level 0 is psi_q * omega.  A point mass rho at a
+    adds rho K(x - a); a piece adds rho (P(d) - P(d - w)), d = x - a, with
+    P the next primitive, of power s.  Where |d| > w that is, up to sign
+    and factor, |d|^s expm1(s log1p(-w/d)), which does not cancel however
+    narrow the piece; nearer, both terms are at most (2w)^s, taken directly.
     """
-    y, c, k = atoms
-    level += k
-    odd = level % 2
+    a, w, rho = pieces
+    order = level if w is None else level + 1
+    s, odd = q + order, order % 2
+    # the constant of K, or of P on a piece: q at order -1
+    factor = q if order < 0 else 1.0 / math.prod(q + np.arange(1, order + 1))
     flat = np.ravel(x)
-    write = _differences(flat, y)
+    write = _differences(flat, a)
     out = np.empty(flat.size)
-    with np.errstate(divide="ignore"):  # x on a node takes ln 0
-        for rows, d, *mag in _scratch_blocks(flat.size, y.size,
-                                             temps=1 + odd):
+    with np.errstate(divide="ignore"):  # x on an end takes ln 0
+        for rows, d, t in _scratch_blocks(flat.size, a.size, temps=2):
             write(rows, d)
-            if odd:
-                _pow(np.abs(d, out=mag[0]), q + level)
-                np.copysign(mag[0], d, out=d)
+            if w is None:
+                d = _signed_pow(d, s, odd, t)
             else:
-                _pow(np.abs(d, out=d), q + level)
-            np.matmul(d, c, out=out[rows])
-    return _level_factor(q, level) * out.reshape(np.shape(x))
+                near = np.nonzero(np.abs(d, out=t) <= w)
+                dn = d[near]
+                np.divide(-w, d, out=t)
+                t[near] = 0.0
+                np.expm1(np.multiply(np.log1p(t, out=t), s, out=t), out=t)
+                np.multiply(_pow(np.abs(d, out=d), s), t, out=d)
+                # P(d) - P(d - w) is -|d|^s expm1(.) for even P, |that| for odd
+                np.abs(d, out=d) if odd else np.negative(d, out=d)
+                d[near] = (_signed_pow(dn, s, odd)
+                           - _signed_pow(dn - w[near[1]], s, odd))
+            np.matmul(d, rho, out=out[rows])
+    return factor * out.reshape(np.shape(x))
 
 
 def _datum_conv(profile, q, x, quad=None):
@@ -193,7 +200,7 @@ def _datum_conv(profile, q, x, quad=None):
         b = profile.centred(profile.breakpoints)
         spread = profile.densities @ (b[1:] ** 3 - b[:-1] ** 3) / 3.0
         return profile.mass * profile.centred(x) ** 2 + spread
-    return _datum_sum(x, q, _datum_atoms(profile, quad), 0)
+    return _datum_sum(x, q, _pieces(profile, quad), 0)
 
 
 @dataclass(frozen=True)
@@ -224,10 +231,9 @@ def _check_q(q):
 class AttractionPotential:
     """Drift U = psi_a' * omega with its Lipschitz constant.
 
-    ``y_nodes`` holds the nodes of the datum's atoms: its breakpoints
-    without ``quad``, where U is exact, and Y(quad.nodes) with it, the
-    particle oracle's reference.  For q_a = 1 both use the exact CDF form
-    U = 2G - m.
+    ``y_nodes`` holds the datum's breakpoints without ``quad``, where U is
+    exact by pieces, and Y(quad.nodes) with it, the particle oracle's
+    reference.  For q_a = 1 both use the exact CDF form U = 2G - m.
     """
 
     profile: object
@@ -238,9 +244,9 @@ class AttractionPotential:
 
     def __post_init__(self):
         _check_q(self.q_a)
-        atoms = _datum_atoms(self.profile, self.quad)
-        object.__setattr__(self, "_atoms", atoms)
-        object.__setattr__(self, "y_nodes", atoms[0])
+        object.__setattr__(self, "_datum", _pieces(self.profile, self.quad))
+        object.__setattr__(self, "y_nodes", self.profile.breakpoints
+                           if self.quad is None else self._datum[0])
         object.__setattr__(self, "lam", lipschitz_bound(self.profile, self.q_a))
 
     def __call__(self, x):
@@ -267,5 +273,5 @@ def attraction_U(pot, x):
     elif pot.q_a == 2.0 and pot.quad is None:
         out = 2.0 * profile.mass * profile.centred(x)
     else:
-        out = _datum_sum(x, pot.q_a, pot._atoms, -1)
+        out = _datum_sum(x, pot.q_a, pot._datum, -1)
     return out if out.ndim else float(out)

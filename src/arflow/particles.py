@@ -12,9 +12,9 @@ no summation code with the pair sums in ``kernels``.  They share only the
 differences p_i - y_j (``kernels._differences``, bit for bit the broadcast
 subtraction), and keep ``np.power`` and ``np.sum`` where the kernels use
 exp(p ln d) and BLAS sums, so the two power evaluations stay independent.
-The datum term is exact: the piecewise-constant datum integrates each
-formula piece by piece through its primitive, with the pieces' two ends as
-signed sources.  A ``MassQuadrature``, where a caller passes one, replaces
+The datum term is exact: each piece integrates the formula through its
+primitive, pivoted on the piece's right end, where the kernels pivot on
+its left end with exp(p ln d).  A ``MassQuadrature``, where a caller passes one, replaces
 it by a sum over the quantile nodes.  The rows are tiled by
 ``kernels._scratch_blocks``, so memory stays under the kernels' cap.
 """
@@ -43,7 +43,7 @@ def _row_sums(p, y, weights, q, kernel):
 def _psi(q, d, tmp):
     """d <- |d|^q."""
     np.abs(d, out=d)
-    np.power(d, q, out=d)
+    return np.power(d, q, out=d)
 
 
 def _psi_prime(q, d, mag):
@@ -63,24 +63,36 @@ def _primitive(q, d, mag):
     np.abs(d, out=mag)
     np.power(mag, q + 1.0, out=mag)
     np.copysign(mag, d, out=d)
-    np.divide(d, q + 1.0, out=d)
+    return np.divide(d, q + 1.0, out=d)
 
 
-def _datum_sums(p, profile, q, quad, kernel, primitive):
+def _datum_sums(p, profile, q, quad, kernel, primitive, s):
     """(kernel(q, .) * omega)(p_i) for every i.
 
-    Exact by default: over the piece [b_k, b_{k+1}] of density rho_k the
-    integral is rho_k (P(p - b_k) - P(p - b_{k+1})), with P = ``primitive``
-    an antiderivative of the kernel.  With ``quad`` it is the quadrature
+    Exact by default: the piece [b_k, b_{k+1}] of density rho_k and width w
+    adds rho_k (P(e + w) - P(e)), e = p - b_{k+1}, with P = ``primitive``
+    of power s.  Where |e| > w, e + w shares the sign of e and that is
+    P(e) expm1(s log1p(w/e)), which does not cancel on a narrow piece;
+    nearer, it is taken directly.  With ``quad`` it is the quadrature
     sum_j w_j kernel(q, p_i - Y(zeta_j)).
     """
     if quad is not None:
         y = profile.quantile(quad.nodes)
         return _row_sums(p, y, quad.weights, q, kernel)
     b = profile.breakpoints
-    rho = profile.densities
-    ends = np.concatenate([b[:-1], b[1:]])
-    return _row_sums(p, ends, np.concatenate([rho, -rho]), q, primitive)
+    w = np.diff(b)
+
+    def piece(q, e, ratio):
+        near = np.nonzero(np.abs(e, out=ratio) <= w)
+        en, wn = e[near], w[near[1]]
+        e[near] = wn  # a stand-in, replaced below
+        np.log1p(np.divide(w, e, out=ratio), out=ratio)
+        np.expm1(np.multiply(ratio, s, out=ratio), out=ratio)
+        np.multiply(primitive(q, e, np.empty_like(e)), ratio, out=e)
+        e[near] = (primitive(q, en + wn, np.empty_like(en))
+                   - primitive(q, en, np.empty_like(en)))
+
+    return _row_sums(p, b[1:], profile.densities, q, piece)
 
 
 def discrete_energy(X, profile, exps, quad=None):
@@ -91,7 +103,8 @@ def discrete_energy(X, profile, exps, quad=None):
     """
     p = X.x_values
     rep = np.sum(_row_sums(p, p, None, exps.q_r, _psi))
-    attr = np.sum(_datum_sums(p, profile, exps.q_a, quad, _psi, _primitive))
+    attr = np.sum(_datum_sums(p, profile, exps.q_a, quad, _psi, _primitive,
+                              exps.q_a + 1.0))
     return float(-rep / (2.0 * X.n * X.n) + attr / X.n)
 
 
@@ -106,5 +119,5 @@ def particle_rhs(X, profile, exps, quad=None):
         raise ValueError("particle flow undefined for q_r = 1 (set-valued gradient)")
     p = X.x_values
     rep = _row_sums(p, p, None, exps.q_r, _psi_prime) / X.n
-    attr = _datum_sums(p, profile, exps.q_a, quad, _psi_prime, _psi)
+    attr = _datum_sums(p, profile, exps.q_a, quad, _psi_prime, _psi, exps.q_a)
     return rep - attr

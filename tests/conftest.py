@@ -1,3 +1,6 @@
+import decimal
+import functools
+
 import numpy as np
 import pytest
 
@@ -90,3 +93,51 @@ def pair_passes(monkeypatch):
 
         monkeypatch.setattr(module, "_half_triangle", counted)
     return passes
+
+
+# narrow datums, on which the breakpoint (jump) form of a piece of width w
+# loses about log10(|x - b| / w) digits; every width is the exact
+# difference of its breakpoints
+NARROW_DATUMS = {
+    "1e3-on-1e-3": ([0.0, 1e-3], [1e3]),
+    "1e6-on-1e-6": ([0.0, 1e-6], [1e6]),
+    "two-pieces-gap": ([0.0, 1e-3, 1.0, 1.0 + 1e-3], [500.0, 0.0, 500.0]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def decimal_datum_terms(name, q):
+    """Points x in [-3, 3] outside the datum ``NARROW_DATUMS[name]``, with
+    U = psi_q' * omega and psi_q * omega there to 50 digits.
+
+    Stdlib ``decimal`` only: each piece adds rho (P(x - b_k) - P(x - b_{k+1}))
+    with P = |d|^q for U and sgn(d) |d|^{q+1} / (q+1) for psi_q * omega, from
+    the doubles converted exactly.  Beside a grid of step 0.02 the points
+    sit 0.5, 2 and 10 widths off either end of each piece.
+    """
+    breaks, densities = NARROW_DATUMS[name]
+    pieces = [(breaks[k], breaks[k + 1], rho)
+              for k, rho in enumerate(densities) if rho > 0]
+    x = np.concatenate([np.linspace(-3.0, 3.0, 301)] + [
+        [a - f * (b - a), b + f * (b - a)]
+        for a, b, _ in pieces for f in (0.5, 2.0, 10.0)])
+    x = np.array([v for v in x if not any(a <= v <= b for a, b, _ in pieces)])
+
+    def power(u, s):
+        return decimal.Decimal(0) if u == 0 else abs(u) ** s
+
+    terms = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        dq = decimal.Decimal(q)
+        for v in map(decimal.Decimal, x):
+            u = c = decimal.Decimal(0)
+            for a, b, rho in pieces:
+                da, db = v - decimal.Decimal(a), v - decimal.Decimal(b)
+                rho = decimal.Decimal(rho)
+                u += rho * (power(da, dq) - power(db, dq))
+                c += rho * (power(da, dq + 1).copy_sign(da)
+                            - power(db, dq + 1).copy_sign(db)) / (dq + 1)
+            terms.append((float(u), float(c)))
+    u, c = np.array(terms).T
+    return x, u, c

@@ -428,6 +428,19 @@ class TestOracleCheck:
         assert cli.main(["oracle-check", "--config", str(cfg)]) == 0
         assert "pass" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("breaks,densities", [
+        ([0.0, 1e-3], [1e3]), ([0.0, 1e-6], [1e6])], ids=["1e-3", "1e-6"])
+    def test_narrow_datum(self, tmp_path, capsys, breaks, densities):
+        # both sides take each piece's difference of primitives in a form
+        # that does not cancel; a breakpoint (jump) form fails here, with
+        # rhs differences 3.4e-12 and 2.7e-9
+        write_profile(tmp_path, breaks, densities)
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.5, "n": 64,
+        })
+        assert cli.main(["oracle-check", "--config", str(cfg)]) == 0
+        assert "pass" in capsys.readouterr().out
+
     def test_reports_relative_difference(self, tmp_path, capsys):
         # a datum of mass 3000: the terms reach about 1e4, so their roundoff
         # fails the absolute 1e-12 gate, which assumes unit-scale data;
@@ -601,6 +614,27 @@ class TestEnergyAudit:
         assert "snapshot_0001.csv" in err
         assert "UserWarning" not in err
         assert not [w for w in caught if issubclass(w.category, UserWarning)]
+        assert not (out / "balance.json").exists()
+
+    def test_overflowed_report_exit_4(self, tmp_path, capsys):
+        # a datum moved to 1e160 overflows every report: a corrupt
+        # trajectory, refused without a numpy warning or a balance.json
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.2, "n": 32,
+            "dt": 0.01, "t_end": 0.02,
+        })
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        doc = json.loads((out / "config.json").read_text())
+        doc["profile_inline"] = {"breakpoints": [1e160, 2e160],
+                                 "densities": [1e-160]}
+        (out / "config.json").write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["energy-audit", "--out", str(out)]) == 4
+        assert "corrupt trajectory" in capsys.readouterr().err
         assert not (out / "balance.json").exists()
 
     def test_missing_dir_exit_4(self, tmp_path):

@@ -97,11 +97,11 @@ def quad_node_reads(path):
 
 
 def test_quadrature_nodes_read_in_two_places():
-    # every datum term takes its atoms from kernels._datum_atoms; only the
+    # every datum term takes its pieces from kernels._pieces; only the
     # independent particle oracle maps the quadrature's nodes on its own
     reads = {(path.stem, name) for path in MODULES
              for name in quad_node_reads(path)}
-    assert reads == {("kernels", "_datum_atoms"),
+    assert reads == {("kernels", "_pieces"),
                      ("particles", "_datum_sums")}
 
 

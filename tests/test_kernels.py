@@ -18,9 +18,10 @@ from arflow import (
 )
 from arflow.dynamics import repulsion_direct
 from arflow.energetics import self_energy_constant
-from arflow.kernels import _BLOCK_ELEMS, _datum_atoms, _datum_conv, \
-    _datum_sum, _differences, _half_triangle, _pow, _scratch_blocks
-from conftest import psi, psi_double_prime, psi_prime
+from arflow.kernels import _BLOCK_ELEMS, _datum_conv, _datum_sum, \
+    _differences, _half_triangle, _pieces, _pow, _scratch_blocks
+from conftest import NARROW_DATUMS, decimal_datum_terms, psi, \
+    psi_double_prime, psi_prime
 
 
 class TestExponents:
@@ -231,13 +232,21 @@ class TestDatumSum:
     def test_matches_dense_reference(self, gap_profile, rng, q, exact,
                                      level):
         quad = None if exact else MassQuadrature.midpoint(gap_profile, 300)
-        y, c, k = _datum_atoms(gap_profile, quad)
-        # the state meets every atom node in a tie, and far from the datum
-        x = np.concatenate([rng.uniform(-2.0, 5.0, 700), y[::7], [1e3]])
-        terms = self.KERNELS[level + k](x[:, None] - y, q) * c
+        a, w, rho = pieces = _pieces(gap_profile, quad)
+        # the state meets every node and piece end in a tie, and far from
+        # the datum
+        ends = a if w is None else np.concatenate([a, a + w])
+        x = np.concatenate([rng.uniform(-2.0, 5.0, 700), ends[::7], [1e3]])
+        if w is None:
+            terms = self.KERNELS[level](x[:, None] - a, q) * rho
+        else:  # both ends of each piece, by the next primitive
+            kernel = self.KERNELS[level + 1]
+            terms = np.concatenate([kernel(x[:, None] - a, q) * rho,
+                                    -kernel(x[:, None] - a - w, q) * rho],
+                                   axis=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _datum_sum(x, q, (y, c, k), level)
+            got = _datum_sum(x, q, pieces, level)
         scale = np.sum(np.abs(terms), axis=1)
         assert np.all(np.abs(got - np.sum(terms, axis=1)) <= 1e-13 * scale)
 
@@ -252,12 +261,12 @@ class TestDatumSum:
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_level_is_primitive_of_the_one_below(self, gap_profile, level):
-        atoms = _datum_atoms(gap_profile)
+        pieces = _pieces(gap_profile)
         x = np.array([-1.5, 0.5, 1.5, 2.5, 4.0])
         h = 1e-5
-        fd = (_datum_sum(x + h, 1.5, atoms, level)
-              - _datum_sum(x - h, 1.5, atoms, level)) / (2.0 * h)
-        assert np.allclose(fd, _datum_sum(x, 1.5, atoms, level - 1),
+        fd = (_datum_sum(x + h, 1.5, pieces, level)
+              - _datum_sum(x - h, 1.5, pieces, level)) / (2.0 * h)
+        assert np.allclose(fd, _datum_sum(x, 1.5, pieces, level - 1),
                            rtol=1e-8, atol=1e-8)
 
 
@@ -326,7 +335,7 @@ class TestMemoryCap:
             assert peak < 64 * 2**20, (name, peak)
 
     def test_exact_datum_sums_stay_small(self, rng):
-        # one unblocked n x (K + 1) float64 array would take 160 MB here
+        # one unblocked n x K float64 array would take 160 MB here
         n, k = 10**4, 2000
         prof = ReferenceProfile(np.linspace(0.0, 1.0, k + 1),
                                 rng.uniform(0.5, 1.5, k))
@@ -438,3 +447,25 @@ class TestPow:
             expect = ref[rows, rows.start:]
             assert np.allclose(block, expect, rtol=1e-14, atol=0.0)
             assert np.array_equal(block == 0.0, expect == 0.0)
+
+
+class TestNarrowDatum:
+    """U and psi_a * omega by pieces, against a 50-digit reference.
+
+    A breakpoint (jump) form of the datum loses about log10(|x - b| / w)
+    digits here: 2.3e-12 and 2.3e-9 on U for the two one-piece datums.
+    """
+
+    @pytest.mark.parametrize("name", list(NARROW_DATUMS))
+    def test_within_four_ulp_per_piece(self, name):
+        x, u_ref, conv_ref = decimal_datum_terms(name, 1.5)
+        prof = ReferenceProfile(*NARROW_DATUMS[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = attraction_U(AttractionPotential(prof, 1.5), x)
+            conv = _datum_conv(prof, 1.5, x)
+        for got, ref in ((u, u_ref), (conv, conv_ref)):
+            # each piece's term rounds on its own
+            ulp = np.spacing(np.max(np.abs(ref))) * np.count_nonzero(
+                prof.densities)
+            assert np.max(np.abs(got - ref)) <= 4 * ulp

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from arflow import (
     particle_rhs,
     rhs,
 )
-from conftest import convolve_kernel, psi
+from conftest import NARROW_DATUMS, convolve_kernel, decimal_datum_terms, \
+    psi
 
 
 class TestDiscreteEnergy:
@@ -192,3 +195,26 @@ class TestParticleFlow:
             energies.append(discrete_energy(InverseCDF(p),
                                             uniform_profile, exps, quad))
         assert np.all(np.diff(energies) <= 1e-10)
+
+
+class TestNarrowDatum:
+    """The oracle's own datum terms against a 50-digit reference.
+
+    A one-particle state feels no repulsion, so its energy is psi_a * omega
+    and its velocity -U at the particle.
+    """
+
+    @pytest.mark.parametrize("name", list(NARROW_DATUMS))
+    def test_within_four_ulp_per_piece(self, name):
+        x, u_ref, conv_ref = decimal_datum_terms(name, 1.5)
+        prof = ReferenceProfile(*NARROW_DATUMS[name])
+        exps = Exponents(1.5, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = [-particle_rhs(InverseCDF([v]), prof, exps)[0] for v in x]
+            conv = [discrete_energy(InverseCDF([v]), prof, exps) for v in x]
+        for got, ref in ((u, u_ref), (conv, conv_ref)):
+            # each piece's term rounds on its own
+            ulp = np.spacing(np.max(np.abs(ref))) * np.count_nonzero(
+                prof.densities)
+            assert np.max(np.abs(np.array(got) - ref)) <= 4 * ulp
