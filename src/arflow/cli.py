@@ -64,7 +64,6 @@ class RunConfig:
             integrator = IntegratorConfig(
                 dt=float(rest.pop("dt", 1e-3)),
                 t_end=float(rest.pop("t_end", 1.0)),
-                scheme=rest.pop("scheme", "rk4"),
                 safety=float(rest.pop("safety", 0.5)),
                 record_every=_integer(rest, "record_every", 1),
             )
@@ -420,7 +419,7 @@ def main(argv=None):
     args = vars(build_parser().parse_args(argv))
     try:
         return args.pop("run")(**args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # or an n too large for memory
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (MonotonicityError, OverflowError) as exc:

@@ -48,15 +48,12 @@ class FlowState:
 class IntegratorConfig:
     dt: float
     t_end: float
-    scheme: str = "rk4"
     safety: float = 0.5
     record_every: int = 1
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end < 0:
             raise ValueError("dt must be positive and t_end nonnegative")
-        if self.scheme not in ("rk4", "euler"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0 < self.safety <= 1:
             raise ValueError("safety must lie in (0, 1]")
         if self.record_every < 1:
@@ -139,22 +136,15 @@ def rhs(X, pot, exps):
     return _rhs_values(X.x_values, X.z_grid, pot, exps)
 
 
-def _advance(x, z, dt, pot, exps, scheme):
-    if scheme == "euler":
-        return x + dt * _rhs_values(x, z, pot, exps)
+def step(state, cfg, pot, exps):
+    """One accepted RK4 step; aborts if the update breaks monotonicity."""
+    cfg.check_guard(pot.lam)
+    x, z, dt = state.X.x_values, state.X.z_grid, cfg.dt
     k1 = _rhs_values(x, z, pot, exps)
     k2 = _rhs_values(x + 0.5 * dt * k1, z, pot, exps)
     k3 = _rhs_values(x + 0.5 * dt * k2, z, pot, exps)
     k4 = _rhs_values(x + dt * k3, z, pot, exps)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step(state, cfg, pot, exps):
-    """One accepted time step; aborts if the update breaks monotonicity."""
-    cfg.check_guard(pot.lam)
-    x = state.X.x_values
-    z = state.X.z_grid
-    x_new = _advance(x, z, cfg.dt, pot, exps, cfg.scheme)
+    x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(x_new)):
         raise OverflowError(f"state overflowed at t={state.t + cfg.dt}")
     if np.any(np.diff(x_new) < 0):

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arflow import InverseCDF, cli, energetics, kernels, uniform_state
+from arflow import InverseCDF, cli, energetics, kernels, measures, \
+    uniform_state
 
 SRC = str(Path(cli.__file__).resolve().parent.parent)
 
@@ -758,13 +759,15 @@ class TestInitialKinds:
         {"n": 32.9},
         {"record_every": 1.7},
         {"recrod_every": 5, "schem": "euler"},
+        # RK4 is the only integrator, so the key is unknown
+        {"scheme": "rk4"},
         {"initial": {"kind": "uniform", "a": 0, "b": 1, "pth": "x"}},
         # the key is refused before the (missing) file is read
         {"initial": {"kind": "csv", "path": "x0.csv", "pth": "x"}},
     ], ids=["uniform-no-a", "uniform-a-eq-b", "csv-no-path", "not-object",
             "t-fit-not-number", "t-fit-lo-nan", "t-fit-hi-infinity",
             "n-not-integral", "record-every-not-integral",
-            "top-level-typo", "uniform-stray-key", "csv-stray-key"])
+            "top-level-typo", "scheme", "uniform-stray-key", "csv-stray-key"])
     def test_malformed_exit_2_before_output(self, tmp_path, capsys, doc):
         write_profile(tmp_path, [0.0, 1.0], [1.0])
         cfg = write_config(tmp_path, {
@@ -845,6 +848,28 @@ class TestInitialKinds:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "40 nodes" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "steady", "oracle-check"])
+    def test_out_of_memory_exit_2_before_output(self, tmp_path, capsys,
+                                                monkeypatch, command):
+        # the grid of n = 1e9 nodes is refused, never allocated
+        def no_memory(n):
+            raise MemoryError(f"cannot allocate {n} grid nodes")
+
+        monkeypatch.setattr(measures, "midpoint_grid", no_memory)
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.0,
+            "n": 1000000000,
+        })
+        out = tmp_path / "run"
+        argv = [command, "--config", str(cfg)]
+        if command != "oracle-check":
+            argv += ["--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "1000000000" in err
         assert not out.exists()
 
     def test_unknown_kind(self, tmp_path):
