@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -267,33 +268,11 @@ ORACLE_PAIRS = [(1.7, 1.3), (1.2, 1.2), (2.0, 1.5), (2.0, 2.0), (1.4, 1.1)]
 ORACLE_CASES = 10  # states drawn per exponent pair
 
 
-class _SplitMix64:
-    """Uniform draws from the splitmix64 sequence, in numpy uint64 arithmetic.
-
-    Deterministic per seed, and it keeps ``numpy.random`` (with ``hashlib``
-    and ``secrets``) out of the process: importing it costs more than the
-    draws.  Steele, Lea & Flood, OOPSLA 2014.
-    """
-
-    GAMMA = 0x9E3779B97F4A7C15
-
-    def __init__(self, seed):
-        self.state = seed % 2**64
-
-    def uniform(self, lo, hi, n):
-        k = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self.state) + k * np.uint64(self.GAMMA)  # wraps mod 2^64
-        self.state = (self.state + n * self.GAMMA) % 2**64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        # the top 53 bits give a uniform double in [0, 1)
-        return lo + (hi - lo) * ((z >> np.uint64(11)) * 2.0**-53)
-
-
 def cmd_oracle_check(config, seed):
     cfg = RunConfig.load(config)
-    rng = _SplitMix64(seed)
+    # Python's seeded generator keeps numpy.random out of the process; the
+    # modulus keeps a negative seed apart from its absolute value
+    rng = random.Random(seed % 2**64)
     # states around the datum: the check is absolute, and far from the
     # origin roundoff in the datum terms grows with |x|
     centre = cfg.profile.com()
@@ -303,7 +282,10 @@ def cmd_oracle_check(config, seed):
     for q_a, q_r in ORACLE_PAIRS:
         exps = Exponents(q_a, q_r)
         for _ in range(ORACLE_CASES):
-            X = InverseCDF(np.sort(centre + rng.uniform(-2.0, 3.0, cfg.n)))
+            # the top 53 of 64 random bits give a uniform double in [0, 1)
+            u = (np.frombuffer(rng.randbytes(8 * cfg.n), dtype="<u8")
+                 >> np.uint64(11)) * 2.0**-53
+            X = InverseCDF(np.sort(centre + (-2.0 + 5.0 * u)))
             v = particle_rhs(X, cfg.profile, exps)
             e = discrete_energy(X, cfg.profile, exps)
             E, V = energetics.energy_and_velocity(X, cfg.profile, exps)
@@ -344,30 +326,34 @@ def cmd_energy_audit(out):
         profile = ReferenceProfile.from_doc(config_doc["profile_inline"])
         exps = Exponents(float(config_doc["q_a"]), float(config_doc["q_r"]))
         times, files = np.array(index["times"], dtype=float), index["files"]
+        # a name with a directory part could read another run's snapshot
         if not (times.shape == (len(files),) and np.all(np.isfinite(times))
                 and np.all(np.diff(times) > 0)
-                and all(isinstance(name, str) for name in files)):
-            raise ValueError("index.json needs one file name (a string) per "
-                             "time, the times finite and increasing")
-        snapshots = list(zip(times.tolist(), files))
+                and all(isinstance(name, str) and Path(name).name == name
+                        and name not in ("", "..") for name in files)):
+            raise ValueError("index.json needs one bare file name (a string) "
+                             "per time, the times finite and increasing")
     except (KeyError, TypeError, ValueError) as exc:
         # corrupt or incomplete metadata is an i/o failure (exit 4)
         raise OSError(
             f"corrupt trajectory metadata in {traj_dir}: {exc!r}"
         ) from exc
-    if len(snapshots) < 2:
+    if len(files) < 2:
         # the balance compares two snapshots; a t_end = 0 run has one
         raise OSError(
-            f"trajectory in {traj_dir} has {len(snapshots)} snapshot(s); "
+            f"trajectory in {traj_dir} has {len(files)} snapshot(s); "
             f"the energy balance needs at least two"
         )
+    states = [_read_state(traj_dir / name) for name in files]
+    n = config_doc.get("n", states[0].n)
+    for name, X in zip(files, states):
+        if X.n != n:
+            raise OSError(f"corrupt trajectory in {traj_dir}: {name} has "
+                          f"{X.n} nodes, the run has {n}")
     # an overflowed report is refused before energy_balance would warn on it
     with np.errstate(over="ignore", invalid="ignore"):
-        reports = [
-            energetics.make_report(t, _read_state(traj_dir / name),
-                                   profile, exps)
-            for t, name in snapshots
-        ]
+        reports = [energetics.make_report(t, X, profile, exps)
+                   for t, X in zip(times.tolist(), states)]
     if not np.all(np.isfinite([(r.E, r.D, r.moment_qa, r.moment_r)
                                for r in reports])):
         raise OSError(f"corrupt trajectory in {traj_dir}: a report overflowed")

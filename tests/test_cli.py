@@ -316,7 +316,7 @@ class TestMain:
                     == (tmp_path / "fresh" / name).read_bytes()), name
 
     def test_commands_import_no_random_or_polynomial(self, tmp_path):
-        # _SplitMix64 keeps numpy.random out of oracle-check, and only
+        # oracle-check draws from Python's random, not numpy.random, and only
         # fourier_energy takes leggauss from numpy.polynomial
         write_profile(tmp_path, [0.0, 0.5, 1.5], [1.2, 0.4])
         cfg = write_config(tmp_path, {
@@ -460,7 +460,7 @@ class TestOracleCheck:
         assert max(relative) <= 1e-14
 
     def test_fresh_process_skips_numpy_random(self, tmp_path):
-        # the states come from a private splitmix64, so oracle-check pays
+        # the states come from Python's seeded random, so oracle-check pays
         # for no numpy.random import, and one seed gives one result
         write_profile(tmp_path, [0.0, 0.5, 1.5], [1.2, 0.4])
         cfg = write_config(tmp_path, {
@@ -482,19 +482,34 @@ class TestOracleCheck:
         assert lines[0] == lines[1]
         assert "pass" in lines[0]
 
-    def test_splitmix64_reference_outputs(self):
-        # the first outputs of splitmix64 from seed 1234567
-        outputs = [6457827717110365317, 3203168211198807973,
-                   9817491932198370423]
-        draws = cli._SplitMix64(1234567).uniform(0.0, 1.0, 3)
-        assert draws.tolist() == [(z >> 11) * 2.0**-53 for z in outputs]
+    def test_draws_per_seed(self, tmp_path, monkeypatch):
+        # the states particle_rhs receives: around the datum, one set per
+        # seed, and a negative seed apart from its absolute value
+        write_profile(tmp_path, [0.0, 0.5, 1.5], [1.2, 0.4])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 32,
+        })
+        states = []
 
-    def test_splitmix64_continues_the_sequence(self):
-        one = cli._SplitMix64(5)
-        parts = [one.uniform(-2.0, 3.0, 4), one.uniform(-2.0, 3.0, 3)]
-        whole = cli._SplitMix64(5).uniform(-2.0, 3.0, 7)
-        assert np.concatenate(parts).tolist() == whole.tolist()
-        assert np.all((whole >= -2.0) & (whole < 3.0))
+        def captured(X, profile, exps, inner=cli.particle_rhs):
+            states.append(X.x_values)
+            return inner(X, profile, exps)
+
+        monkeypatch.setattr(cli, "particle_rhs", captured)
+
+        def draws(seed):
+            states.clear()
+            assert cli.main(["oracle-check", "--config", str(cfg),
+                             "--seed", str(seed)]) == 0
+            return np.array(states)
+
+        seven = draws(7)
+        com = measures.ReferenceProfile.from_json(
+            tmp_path / "profile.json").com()
+        assert seven.shape == (len(cli.ORACLE_PAIRS) * cli.ORACLE_CASES, 32)
+        assert np.all((seven >= com - 2.0) & (seven < com + 3.0))
+        assert not np.array_equal(seven, draws(-7))
+        assert np.array_equal(seven, draws(7))
 
     def test_one_pair_pass_per_state(self, tmp_path, capsys, monkeypatch,
                                      pair_passes):
@@ -636,6 +651,56 @@ class TestEnergyAudit:
             warnings.simplefilter("error")
             assert cli.main(["energy-audit", "--out", str(out)]) == 4
         assert "corrupt trajectory" in capsys.readouterr().err
+        assert not (out / "balance.json").exists()
+
+    @pytest.mark.parametrize("name", [
+        "../other/snapshot_0001.csv", "absolute", "..", "",
+    ])
+    def test_file_outside_directory_exit_4(self, tmp_path, capsys,
+                                           monkeypatch, name):
+        # a file name with a directory part would audit another run's
+        # snapshot; each is refused before any snapshot is read
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 32,
+            "dt": 0.01, "t_end": 0.02,
+        })
+        out = tmp_path / "run"
+        for run in (out, tmp_path / "other"):
+            assert cli.main(["simulate", "--config", str(cfg),
+                             "--out", str(run)]) == 0
+        if name == "absolute":
+            name = str(tmp_path / "other" / "snapshot_0001.csv")
+        index = out / "index.json"
+        index.write_text(edit_index(index.read_text(), "files", 1, name))
+        monkeypatch.setattr(cli, "_read_state",
+                            lambda path: pytest.fail(f"read {path}"))
+        assert cli.main(["energy-audit", "--out", str(out)]) == 4
+        assert "corrupt trajectory metadata" in capsys.readouterr().err
+        assert not (out / "balance.json").exists()
+
+    @pytest.mark.parametrize("sizes,drop_n", [
+        ({1: 4}, False),
+        ({0: 16, 1: 16, 2: 16}, False),  # the snapshots agree, the config not
+        ({1: 4}, True),  # no n in config.json: the first snapshot's count
+    ])
+    def test_node_count_exit_4(self, tmp_path, capsys, sizes, drop_n):
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 32,
+            "dt": 0.01, "t_end": 0.02,
+        })
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        if drop_n:
+            doc = json.loads((out / "config.json").read_text())
+            del doc["n"]
+            (out / "config.json").write_text(json.dumps(doc))
+        for i, n in sizes.items():
+            uniform_state(0.0, 1.0, n).to_csv(out / f"snapshot_{i:04d}.csv")
+        assert cli.main(["energy-audit", "--out", str(out)]) == 4
+        assert "nodes, the run has" in capsys.readouterr().err
         assert not (out / "balance.json").exists()
 
     def test_missing_dir_exit_4(self, tmp_path):
