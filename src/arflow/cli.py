@@ -286,9 +286,16 @@ def cmd_oracle_check(config, seed):
             u = (np.frombuffer(rng.randbytes(8 * cfg.n), dtype="<u8")
                  >> np.uint64(11)) * 2.0**-53
             X = InverseCDF(np.sort(centre + (-2.0 + 5.0 * u)))
-            v = particle_rhs(X, cfg.profile, exps)
-            e = discrete_energy(X, cfg.profile, exps)
-            E, V = energetics.energy_and_velocity(X, cfg.profile, exps)
+            # a value that overflowed is refused before its difference is
+            # taken: max() would drop a NaN difference
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = particle_rhs(X, cfg.profile, exps)
+                e = discrete_energy(X, cfg.profile, exps)
+                E, V = energetics.energy_and_velocity(X, cfg.profile, exps)
+            if not (np.all(np.isfinite(v)) and np.all(np.isfinite(V))
+                    and np.isfinite(e) and np.isfinite(E)):
+                raise OverflowError(f"oracle-check: the rhs or energy at "
+                                    f"({q_a}, {q_r}) is not finite")
             worst_rhs = max(worst_rhs, float(np.max(np.abs(V - v))))
             worst_energy = max(worst_energy, abs(E - e))
             scale_rhs = max(scale_rhs, float(np.max(np.abs(v))))

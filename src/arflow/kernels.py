@@ -15,8 +15,9 @@ dense sum runs in row blocks of at most ``_BLOCK_ELEMS`` elements, built with
 memory stays flat as n grows and no block faults in fresh pages.  Each block
 of differences is a rank-2 BLAS product (``_differences``), bit for bit the
 broadcast subtraction, and each power is exp(p ln d) (``_pow``), not
-``np.power``: the particle oracle keeps ``np.power``, so the oracle check
-compares two independent power evaluations.
+``np.power``.  The particle oracle keeps ``np.power`` and takes each piece
+from its right end, not its far end, so the oracle check compares two
+different formulas and two independent power evaluations.
 """
 
 from __future__ import annotations
@@ -145,12 +146,6 @@ def _pieces(profile, quad=None):
     return b[:-1][keep], np.diff(b)[keep], rho[keep]
 
 
-def _signed_pow(d, p, odd, out=None):
-    """sgn(d)^odd |d|^p, into ``out`` (d itself only where not odd)."""
-    out = _pow(np.abs(d, out=out), p)
-    return np.copysign(out, d, out=out) if odd else out
-
-
 def _datum_sum(x, q, pieces, level):
     """int K(x - y) d omega(y) per x, over the pieces of ``_pieces``.
 
@@ -158,9 +153,12 @@ def _datum_sum(x, q, pieces, level):
     at -1, and sgn(d)^l |d|^{q+l} / ((q+1)...(q+l)) at l >= 0.  So level -1
     is psi_q' * omega and level 0 is psi_q * omega.  A point mass rho at a
     adds rho K(x - a); a piece adds rho (P(d) - P(d - w)), d = x - a, with
-    P the next primitive, of power s.  Where |d| > w that is, up to sign
-    and factor, |d|^s expm1(s log1p(-w/d)), which does not cancel however
-    narrow the piece; nearer, both terms are at most (2w)^s, taken directly.
+    P the next primitive, of power s, taken from the piece's far end:
+    F = max(|d|, |d - w|) >= w/2, Delta = min(w, |2d - w|) = F - G, with G
+    the distance to the near end, and e = expm1(s log1p(-Delta/F)) =
+    (G/F)^s - 1.  The piece adds -sgn(2d - w) F^s e for even P; for odd P,
+    -F^s e outside it and F^s (2 + e) inside it.  Delta/F lies in [0, 1],
+    so nothing cancels, divides by 0 or overflows, and e = -1 at an end.
     """
     a, w, rho = pieces
     order = level if w is None else level + 1
@@ -170,23 +168,25 @@ def _datum_sum(x, q, pieces, level):
     flat = np.ravel(x)
     write = _differences(flat, a)
     out = np.empty(flat.size)
-    with np.errstate(divide="ignore"):  # x on an end takes ln 0
-        for rows, d, t in _scratch_blocks(flat.size, a.size, temps=2):
+    with np.errstate(divide="ignore"):  # ln 0 at a point mass or piece end
+        for rows, d, f, u in _scratch_blocks(flat.size, a.size, temps=3):
             write(rows, d)
-            if w is None:
-                d = _signed_pow(d, s, odd, t)
+            if w is None:  # sgn(d)^odd |d|^s
+                _pow(np.abs(d, out=f), s)
+                if odd:
+                    np.copysign(f, d, out=f)
             else:
-                near = np.nonzero(np.abs(d, out=t) <= w)
-                dn = d[near]
-                np.divide(-w, d, out=t)
-                t[near] = 0.0
-                np.expm1(np.multiply(np.log1p(t, out=t), s, out=t), out=t)
-                np.multiply(_pow(np.abs(d, out=d), s), t, out=d)
-                # P(d) - P(d - w) is -|d|^s expm1(.) for even P, |that| for odd
-                np.abs(d, out=d) if odd else np.negative(d, out=d)
-                d[near] = (_signed_pow(dn, s, odd)
-                           - _signed_pow(dn - w[near[1]], s, odd))
-            np.matmul(d, rho, out=out[rows])
+                np.subtract(d, w, out=f)
+                np.add(d, f, out=u)  # 2d - w: |2d - w| >= w outside the piece
+                np.maximum(np.abs(d, out=d), np.abs(f, out=f), out=f)  # F
+                np.minimum(np.abs(u, out=d), w, out=d)  # Delta
+                np.negative(np.divide(d, f, out=d), out=d)
+                np.expm1(np.multiply(np.log1p(d, out=d), s, out=d), out=d)
+                if odd:  # 2 + e inside the piece, and u = |2d - w| >= 0
+                    np.add(d, 2.0, out=d, where=np.abs(u, out=u) < w)
+                np.copysign(d, u, out=d)  # -sgn(2d - w) e, or for odd P |.|
+                np.multiply(_pow(f, s), d, out=f)
+            np.matmul(f, rho, out=out[rows])
     return factor * out.reshape(np.shape(x))
 
 

@@ -137,12 +137,21 @@ class ReferenceProfile:
             raise ValueError("densities must have one entry per interval")
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(d))):
             raise ValueError("breakpoints and densities must be finite")
-        if np.any(np.diff(b) <= 0):
+        # finite breakpoints can still lie more than the largest double apart
+        with np.errstate(over="ignore", invalid="ignore"):
+            rel = b - b[0]
+            piece_mass = d * np.diff(b)
+            mass = float(np.sum(piece_mass))
+            # 2 m (com - b_0) from the breakpoints relative to b_0, as width
+            # times midpoint: it rounds with the datum's width, not with |com|
+            moment = float(np.sum(piece_mass * (rel[1:] + rel[:-1])))
+        if np.any(b[1:] <= b[:-1]):
             raise ValueError("breakpoints must be strictly increasing")
         if np.any(d < 0):
             raise ValueError("densities must be nonnegative")
-        piece_mass = d * np.diff(b)
-        mass = float(np.sum(piece_mass))
+        if not np.all(np.isfinite([rel[-1], mass, moment])):
+            raise ValueError("the datum's width, mass and first moment "
+                             "must be finite")
         if mass <= 0:
             raise ValueError("profile must have positive mass")
         b = b.copy()
@@ -158,11 +167,7 @@ class ReferenceProfile:
         cum[-1] = mass
         cum.setflags(write=False)
         object.__setattr__(self, "_cum_mass", cum)
-        # com - b_0 from the breakpoints relative to b_0, as width times
-        # midpoint: it rounds with the datum's width, not with |com|
-        rel = b - b[0]
-        offset = np.sum(piece_mass * (rel[1:] + rel[:-1])) / (2.0 * mass)
-        object.__setattr__(self, "_com_offset", float(offset))
+        object.__setattr__(self, "_com_offset", moment / (2.0 * mass))
 
     @property
     def support(self):

@@ -105,39 +105,76 @@ NARROW_DATUMS = {
 }
 
 
+def _positive_pieces(name):
+    breaks, densities = NARROW_DATUMS[name]
+    return [(breaks[k], breaks[k + 1], rho)
+            for k, rho in enumerate(densities) if rho > 0]
+
+
+def decimal_datum_sums(name, q, x, levels):
+    """Level-l datum sums of ``NARROW_DATUMS[name]`` at x, to 50 digits.
+
+    Stdlib ``decimal`` only: each piece adds rho (P(x - b_k) - P(x - b_{k+1}))
+    with P the primitive sgn(d)^m |d|^{q+m} / ((q+1)...(q+m)), m = l + 1, of
+    the level-l kernel, from the doubles converted exactly.  One row per
+    level.
+    """
+    pieces = _positive_pieces(name)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        dq = decimal.Decimal(q)
+
+        def primitive(u, m):
+            if u == 0:
+                return decimal.Decimal(0)
+            value = abs(u) ** (dq + m)
+            for j in range(1, m + 1):
+                value /= dq + j
+            return value.copy_sign(u) if m % 2 else value
+
+        rows = []
+        for m in (level + 1 for level in levels):
+            row = []
+            for v in map(decimal.Decimal, x):
+                total = decimal.Decimal(0)
+                for a, b, rho in pieces:
+                    total += decimal.Decimal(rho) * (
+                        primitive(v - decimal.Decimal(a), m)
+                        - primitive(v - decimal.Decimal(b), m))
+                row.append(float(total))
+            rows.append(row)
+    return np.array(rows)
+
+
 @functools.lru_cache(maxsize=None)
 def decimal_datum_terms(name, q):
     """Points x in [-3, 3] outside the datum ``NARROW_DATUMS[name]``, with
     U = psi_q' * omega and psi_q * omega there to 50 digits.
 
-    Stdlib ``decimal`` only: each piece adds rho (P(x - b_k) - P(x - b_{k+1}))
-    with P = |d|^q for U and sgn(d) |d|^{q+1} / (q+1) for psi_q * omega, from
-    the doubles converted exactly.  Beside a grid of step 0.02 the points
-    sit 0.5, 2 and 10 widths off either end of each piece.
+    Beside a grid of step 0.02 the points sit 0.5, 2 and 10 widths off
+    either end of each piece.
     """
-    breaks, densities = NARROW_DATUMS[name]
-    pieces = [(breaks[k], breaks[k + 1], rho)
-              for k, rho in enumerate(densities) if rho > 0]
+    pieces = _positive_pieces(name)
     x = np.concatenate([np.linspace(-3.0, 3.0, 301)] + [
         [a - f * (b - a), b + f * (b - a)]
         for a, b, _ in pieces for f in (0.5, 2.0, 10.0)])
     x = np.array([v for v in x if not any(a <= v <= b for a, b, _ in pieces)])
-
-    def power(u, s):
-        return decimal.Decimal(0) if u == 0 else abs(u) ** s
-
-    terms = []
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        dq = decimal.Decimal(q)
-        for v in map(decimal.Decimal, x):
-            u = c = decimal.Decimal(0)
-            for a, b, rho in pieces:
-                da, db = v - decimal.Decimal(a), v - decimal.Decimal(b)
-                rho = decimal.Decimal(rho)
-                u += rho * (power(da, dq) - power(db, dq))
-                c += rho * (power(da, dq + 1).copy_sign(da)
-                            - power(db, dq + 1).copy_sign(db)) / (dq + 1)
-            terms.append((float(u), float(c)))
-    u, c = np.array(terms).T
+    u, c = decimal_datum_sums(name, q, x, (-1, 0))
     return x, u, c
+
+
+@functools.lru_cache(maxsize=None)
+def decimal_inside_terms(name, q):
+    """Points x on and inside the pieces of ``NARROW_DATUMS[name]``, with
+    the datum sums of levels -1, 0 and 1 there to 50 digits.
+
+    Per piece of positive density: both ends, one ulp either side of each
+    end, and the centre.
+    """
+    x = []
+    for a, b, _ in _positive_pieces(name):
+        for end in (a, b):
+            x += [np.nextafter(end, -np.inf), end, np.nextafter(end, np.inf)]
+        x.append(0.5 * (a + b))
+    x = np.array(x)
+    return x, decimal_datum_sums(name, q, x, (-1, 0, 1))

@@ -523,6 +523,39 @@ class TestOracleCheck:
         assert cli.main(["oracle-check", "--config", str(cfg)]) == 0
         assert pair_passes == [pytest.approx(0.4)]
 
+    def test_overflowed_value_exit_3(self, tmp_path, capsys):
+        # density 1e308: every E and e is inf and every energy difference
+        # NaN, which max() would drop; the warnings are errors here
+        write_profile(tmp_path, [0.0, 1.0], [1e308])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.5, "n": 16,
+        })
+        assert cli.main(["oracle-check", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
+    def test_nan_on_a_later_state_exit_3(self, tmp_path, capsys,
+                                         monkeypatch):
+        # a NaN after finite states: max(worst, nan) keeps worst
+        calls = []
+
+        def late_nan(X, profile, exps, inner=cli.particle_rhs):
+            calls.append(X)
+            v = inner(X, profile, exps)
+            if len(calls) == 3:
+                v[5] = np.nan
+            return v
+
+        monkeypatch.setattr(cli, "particle_rhs", late_nan)
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 32,
+        })
+        assert cli.main(["oracle-check", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().out == ""
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("module,name", [
         (kernels, "_datum_sum"),
         # energetics reads psi_a * omega through its own binding
@@ -710,13 +743,51 @@ class TestEnergyAudit:
 
 
 
+class TestSubnormalOffsets:
+    """Nodes a subnormal distance from a piece's end, warnings as errors.
+
+    A piece's far end is at least half its width away, so no ratio of the
+    datum sum overflows, however close a node comes to the near end.
+    """
+
+    def test_simulate_from_subnormal_uniform(self, tmp_path):
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.5, "n": 32,
+            "dt": 0.01, "t_end": 0.1,
+            "initial": {"kind": "uniform", "a": 0.0, "b": 1e-320},
+        })
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", "--config", str(cfg),
+                             "--out", str(out)]) == 0
+        assert (out / "summary.json").exists()
+
+    def test_steady_on_subnormal_piece(self, tmp_path):
+        write_profile(tmp_path, [0.0, 1e-310, 1.0], [1.0, 1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.0, "n": 32,
+        })
+        out = tmp_path / "steady"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["steady", "--config", str(cfg),
+                             "--out", str(out)]) == 0
+        assert out.exists()
+
+
 class TestNonFiniteProfile:
     # NaN passes every ordering check of the profile, as each comparison
     # with it is false, and an infinite breakpoint or density gives an
-    # infinite mass; both are rejected where the profile is built
+    # infinite mass, as do finite breakpoints more than the largest double
+    # apart or a mass that overflows; all are rejected where the profile is
+    # built, with no warning first
     PROFILES = [([0.0, 1.0], [NAN]), ([0.0, NAN], [1.0]),
-                ([0.0, 1.0], [INF]), ([-INF, 1.0], [1.0])]
-    IDS = ["nan-density", "nan-breakpoint", "inf-density", "inf-breakpoint"]
+                ([0.0, 1.0], [INF]), ([-INF, 1.0], [1.0]),
+                ([-1e308, 1e308], [1.0]), ([0.0, 1e308], [1e308])]
+    IDS = ["nan-density", "nan-breakpoint", "inf-density", "inf-breakpoint",
+           "width-overflows", "mass-overflows"]
 
     @pytest.mark.parametrize("breaks,densities", PROFILES, ids=IDS)
     @pytest.mark.parametrize("command", ["simulate", "steady", "oracle-check"])

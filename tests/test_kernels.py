@@ -13,6 +13,7 @@ from arflow import (
     attraction_U,
     discrete_energy,
     energy,
+    kernels,
     particle_rhs,
     uniform_state,
 )
@@ -20,8 +21,8 @@ from arflow.dynamics import repulsion_direct
 from arflow.energetics import self_energy_constant
 from arflow.kernels import _BLOCK_ELEMS, _datum_conv, _datum_sum, \
     _differences, _half_triangle, _pieces, _pow, _scratch_blocks
-from conftest import NARROW_DATUMS, decimal_datum_terms, psi, \
-    psi_double_prime, psi_prime
+from conftest import NARROW_DATUMS, decimal_datum_terms, \
+    decimal_inside_terms, psi, psi_double_prime, psi_prime
 
 
 class TestExponents:
@@ -469,3 +470,26 @@ class TestNarrowDatum:
             ulp = np.spacing(np.max(np.abs(ref))) * np.count_nonzero(
                 prof.densities)
             assert np.max(np.abs(got - ref)) <= 4 * ulp
+
+    @pytest.mark.parametrize("level", [-1, 0, 1])
+    @pytest.mark.parametrize("name", list(NARROW_DATUMS))
+    def test_inside_pieces(self, monkeypatch, name, level):
+        # on, inside and one ulp off each piece's ends, where the near end's
+        # term vanishes and the two ends' terms add.  With np.power the form
+        # is within 4 ulp per piece; _pow adds its own 2 (1 + |s ln F|) ulp,
+        # with F >= w/2 the distance to the far end
+        x, refs = decimal_inside_terms(name, 1.5)
+        prof = ReferenceProfile(*NARROW_DATUMS[name])
+        pieces, ref = _pieces(prof), refs[level + 1]
+        ulp = np.spacing(np.max(np.abs(ref))) * np.count_nonzero(
+            prof.densities)
+        pow_ulps = 2.0 * (1.0 + (2.5 + level) * np.max(np.abs(
+            np.log(0.5 * pieces[1]))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _datum_sum(x, 1.5, pieces, level)
+            monkeypatch.setattr(kernels, "_pow",
+                                lambda d, p: np.power(d, p, out=d))
+            form = _datum_sum(x, 1.5, pieces, level)
+        assert np.max(np.abs(form - ref)) <= 4 * ulp
+        assert np.max(np.abs(got - ref)) <= (4 + pow_ulps) * ulp

@@ -285,6 +285,18 @@ class TestReferenceProfile:
         with pytest.raises(ValueError):
             ReferenceProfile([0.0, 1.0], [0.0])
 
+    @pytest.mark.parametrize("breaks,densities", [
+        ([-1e308, 1e308], [1.0]),
+        ([-1e308, 1e308, 1.5e308], [0.0, 1.0]),
+        ([0.0, 1e308], [1e308]),
+        ([-9e307, 0.0, 9e307], [1e-10, 1e-10]),
+    ], ids=["width", "zero-density-width", "mass", "first-moment"])
+    def test_overflow_refused(self, breaks, densities):
+        # finite breakpoints and densities whose width, mass or first moment
+        # is not a double; warnings are errors, so none may warn first
+        with pytest.raises(ValueError, match="must be finite"):
+            ReferenceProfile(breaks, densities)
+
     def test_com(self, dense2_profile, gap_profile):
         assert dense2_profile.com() == pytest.approx(0.5, abs=1e-12)
         assert gap_profile.com() == pytest.approx(1.5, abs=1e-12)
