@@ -140,11 +140,12 @@ def step(state, cfg, pot, exps):
     """One accepted RK4 step; aborts if the update breaks monotonicity."""
     cfg.check_guard(pot.lam)
     x, z, dt = state.X.x_values, state.X.z_grid, cfg.dt
-    k1 = _rhs_values(x, z, pot, exps)
-    k2 = _rhs_values(x + 0.5 * dt * k1, z, pot, exps)
-    k3 = _rhs_values(x + 0.5 * dt * k2, z, pot, exps)
-    k4 = _rhs_values(x + dt * k3, z, pot, exps)
-    x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        k1 = _rhs_values(x, z, pot, exps)
+        k2 = _rhs_values(x + 0.5 * dt * k1, z, pot, exps)
+        k3 = _rhs_values(x + 0.5 * dt * k2, z, pot, exps)
+        k4 = _rhs_values(x + dt * k3, z, pot, exps)
+        x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(x_new)):
         raise OverflowError(f"state overflowed at t={state.t + cfg.dt}")
     if np.any(np.diff(x_new) < 0):

@@ -16,7 +16,7 @@ memory stays flat as n grows and no block faults in fresh pages.  Each block
 of differences is a rank-2 BLAS product (``_differences``), bit for bit the
 broadcast subtraction, and each power is exp(p ln d) (``_pow``), not
 ``np.power``.  The particle oracle keeps ``np.power`` and takes each piece
-from its right end, not its far end, so the oracle check compares two
+about its centre, not from its far end, so the oracle check compares two
 different formulas and two independent power evaluations.
 """
 

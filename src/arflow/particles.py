@@ -13,9 +13,9 @@ differences p_i - y_j (``kernels._differences``, bit for bit the broadcast
 subtraction), and keep ``np.power`` and ``np.sum`` where the kernels use
 exp(p ln d) and BLAS sums, so the two power evaluations stay independent.
 The datum term is exact: each piece integrates the formula through its
-primitive, pivoted on the piece's right end, where the kernels pivot on
-its left end with exp(p ln d).  A ``MassQuadrature``, where a caller passes one, replaces
-it by a sum over the quantile nodes.  The rows are tiled by
+primitive, about the piece's centre, where the kernels take it from its far
+end with exp(p ln d).  A ``MassQuadrature``, where a caller passes one,
+replaces it by a sum over the quantile nodes.  The rows are tiled by
 ``kernels._scratch_blocks``, so memory stays under the kernels' cap.
 """
 
@@ -32,21 +32,21 @@ def _row_sums(p, y, weights, q, kernel):
     """sum_j weights_j kernel(q, p_i - y_j) for every i, in row blocks."""
     write = _differences(p, y)
     out = np.empty(p.size)
-    for rows, d, tmp in _scratch_blocks(p.size, y.size, temps=2):
-        kernel(q, write(rows, d), tmp)
+    for rows, d, *tmp in _scratch_blocks(p.size, y.size, temps=4):
+        kernel(q, write(rows, d), *tmp)
         if weights is not None:
             np.multiply(weights, d, out=d)
         np.sum(d, axis=1, out=out[rows])
     return out
 
 
-def _psi(q, d, tmp):
+def _psi(q, d, *_):
     """d <- |d|^q."""
     np.abs(d, out=d)
     return np.power(d, q, out=d)
 
 
-def _psi_prime(q, d, mag):
+def _psi_prime(q, d, mag, *_):
     """d <- q sgn(d) |d|^{q-1} for q > 1, with ``mag`` as scratch.
 
     Formed as copysign(q |d|^{q-1}, d), equal bit for bit: a zero difference
@@ -58,41 +58,40 @@ def _psi_prime(q, d, mag):
     np.copysign(mag, d, out=d)
 
 
-def _primitive(q, d, mag):
-    """d <- sgn(d) |d|^{q+1} / (q+1), the primitive of |d|^q."""
-    np.abs(d, out=mag)
-    np.power(mag, q + 1.0, out=mag)
-    np.copysign(mag, d, out=d)
-    return np.divide(d, q + 1.0, out=d)
+def _datum_sums(p, profile, q, quad, kernel, odd):
+    """(kernel(q, .) * omega)(p_i) for every i; with ``quad``, its quadrature.
 
-
-def _datum_sums(p, profile, q, quad, kernel, primitive, s):
-    """(kernel(q, .) * omega)(p_i) for every i.
-
-    Exact by default: the piece [b_k, b_{k+1}] of density rho_k and width w
-    adds rho_k (P(e + w) - P(e)), e = p - b_{k+1}, with P = ``primitive``
-    of power s.  Where |e| > w, e + w shares the sign of e and that is
-    P(e) expm1(s log1p(w/e)), which does not cancel on a narrow piece;
-    nearer, it is taken directly.  With ``quad`` it is the quadrature
-    sum_j w_j kernel(q, p_i - Y(zeta_j)).
+    Exact otherwise: the piece [b_k, b_{k+1}] of density rho_k and width 2h
+    adds rho_k (P(c + h) - P(c - h)), c = (p - b_{k+1}) + h, with P of power
+    s the primitive |t|^q, or sgn(t) |t|^{q+1} / (q+1) if ``odd``.  With
+    M = max(|c|, h), r = min(|c|, h) / M and E(+-r) = expm1(s log1p(+-r)),
+    even P adds sgn(c) M^s (E(r) - E(-r)), odd P M^s (E(r) - E(-r)) outside
+    the piece and M^s (2 + E(r) + E(-r)) inside it.  E(r) >= 0 >= E(-r), so
+    nothing cancels.
     """
     if quad is not None:
         y = profile.quantile(quad.nodes)
         return _row_sums(p, y, quad.weights, q, kernel)
-    b = profile.breakpoints
-    w = np.diff(b)
+    w, s = np.diff(profile.breakpoints), q + odd
 
-    def piece(q, e, ratio):
-        near = np.nonzero(np.abs(e, out=ratio) <= w)
-        en, wn = e[near], w[near[1]]
-        e[near] = wn  # a stand-in, replaced below
-        np.log1p(np.divide(w, e, out=ratio), out=ratio)
-        np.expm1(np.multiply(ratio, s, out=ratio), out=ratio)
-        np.multiply(primitive(q, e, np.empty_like(e)), ratio, out=e)
-        e[near] = (primitive(q, en + wn, np.empty_like(en))
-                   - primitive(q, en, np.empty_like(en)))
+    def piece(q, c, m, r, v):  # in lengths 2c, 2M, 2h = w: h may round to 0
+        np.copyto(v, w)
+        np.add(np.add(c, c, out=c), v, out=c)
+        np.maximum(np.abs(c, out=m), v, out=m)
+        np.minimum(np.abs(c, out=r), v, out=r)
+        if not odd:  # sgn(c) (E(r) - E(-r)) = E(sgn(c) r) - E(-sgn(c) r)
+            np.copysign(r, c, out=r)
+        np.negative(np.divide(r, m, out=v), out=c)
+        with np.errstate(divide="ignore"):  # log1p(-1) at a piece's end
+            for e in (c, v):  # E(-r), then E(r)
+                np.expm1(np.multiply(np.log1p(e, out=e), s, out=e), out=e)
+        if odd:  # |c| < h exactly, where r M may round across h
+            np.subtract(-2.0, c, out=c, where=r < w)
+        np.power(np.multiply(m, 0.5, out=m), s, out=m)
+        np.multiply(m, np.subtract(v, c, out=v), out=c)
 
-    return _row_sums(p, b[1:], profile.densities, q, piece)
+    return _row_sums(p, profile.breakpoints[1:], profile.densities, q,
+                     piece) / (q + 1.0) ** odd
 
 
 def discrete_energy(X, profile, exps, quad=None):
@@ -103,8 +102,7 @@ def discrete_energy(X, profile, exps, quad=None):
     """
     p = X.x_values
     rep = np.sum(_row_sums(p, p, None, exps.q_r, _psi))
-    attr = np.sum(_datum_sums(p, profile, exps.q_a, quad, _psi, _primitive,
-                              exps.q_a + 1.0))
+    attr = np.sum(_datum_sums(p, profile, exps.q_a, quad, _psi, True))
     return float(-rep / (2.0 * X.n * X.n) + attr / X.n)
 
 
@@ -119,5 +117,5 @@ def particle_rhs(X, profile, exps, quad=None):
         raise ValueError("particle flow undefined for q_r = 1 (set-valued gradient)")
     p = X.x_values
     rep = _row_sums(p, p, None, exps.q_r, _psi_prime) / X.n
-    attr = _datum_sums(p, profile, exps.q_a, quad, _psi_prime, _psi, exps.q_a)
+    attr = _datum_sums(p, profile, exps.q_a, quad, _psi_prime, False)
     return rep - attr

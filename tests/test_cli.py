@@ -210,6 +210,33 @@ class TestSimulate:
                         "--out", str(tmp_path / "run")])
         assert code == 3
         assert "integration aborted" in capsys.readouterr().err
+        # a summary value that is not finite is refused as JSON output
+        monkeypatch.undo()
+        monkeypatch.setattr(energetics, "energy_balance", lambda reports: INF)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(q2_m2_config),
+                         "--out", str(out)]) == 3
+        assert "non-finite value in output" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("q_a, q_r", [(1.5, 1.2), (2.0, 1.5)])
+    def test_overflowing_stage_exit_3_before_output(self, tmp_path, capsys,
+                                                    q_a, q_r):
+        # an RK4 stage from nodes up to 1.7e308 overflows; warnings are
+        # errors, so the finiteness check of the step must see it first
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": q_a, "q_r": q_r, "n": 32,
+            "dt": 0.01, "t_end": 0.02,
+            "initial": {"kind": "uniform", "a": 1e307, "b": 1.7e308},
+        })
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", "--config", str(cfg),
+                             "--out", str(out)]) == 3
+        assert "state overflowed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overflowed_report_exit_3_before_output(self, tmp_path, capsys):
         # the state at 1e160 stays finite, but its energy and moments do

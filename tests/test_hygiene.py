@@ -74,12 +74,24 @@ def test_kernels_use_no_np_power():
     assert power_calls(tree) == []
 
 
-@pytest.mark.parametrize("name", ["_psi", "_psi_prime", "_primitive"])
+def particles_tree():
+    return ast.parse((ROOT / "src" / "arflow" / "particles.py").read_text())
+
+
+@pytest.mark.parametrize("name", ["_psi", "_psi_prime", "_datum_sums"])
 def test_particle_oracle_keeps_np_power(name):
-    tree = ast.parse((ROOT / "src" / "arflow" / "particles.py").read_text())
-    funcs = {node.name: node for node in tree.body
+    funcs = {node.name: node for node in particles_tree().body
              if isinstance(node, ast.FunctionDef)}
     assert power_calls(funcs[name]) != [], f"{name} lost its np.power"
+
+
+def test_particle_oracle_gathers_nothing():
+    # one path per datum piece: no entries picked out for a second formula
+    calls = [node.lineno for node in ast.walk(particles_tree())
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "nonzero"]
+    assert calls == [], f"nonzero called at lines {calls}"
 
 
 def quad_node_reads(path):

@@ -284,6 +284,8 @@ class TestReferenceProfile:
             ReferenceProfile([0.0, 1.0], [-1.0])
         with pytest.raises(ValueError):
             ReferenceProfile([0.0, 1.0], [0.0])
+        with pytest.raises(ValueError, match="one entry per interval"):
+            ReferenceProfile([0.0, 1.0, 2.0], [1.0])
 
     @pytest.mark.parametrize("breaks,densities", [
         ([-1e308, 1e308], [1.0]),

@@ -14,8 +14,9 @@ from arflow import (
     particle_rhs,
     rhs,
 )
+from arflow.kernels import _datum_conv
 from conftest import NARROW_DATUMS, convolve_kernel, decimal_datum_terms, \
-    psi
+    decimal_inside_terms, psi
 
 
 class TestDiscreteEnergy:
@@ -218,3 +219,34 @@ class TestNarrowDatum:
             ulp = np.spacing(np.max(np.abs(ref))) * np.count_nonzero(
                 prof.densities)
             assert np.max(np.abs(np.array(got) - ref)) <= 4 * ulp
+
+    @pytest.mark.parametrize("name", list(NARROW_DATUMS))
+    def test_inside_pieces(self, name):
+        # on, inside and one ulp off each piece's ends, where the inside
+        # branch of the energy's odd primitive takes over at |c| < h
+        x, refs = decimal_inside_terms(name, 1.5)
+        prof = ReferenceProfile(*NARROW_DATUMS[name])
+        exps = Exponents(1.5, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = [-particle_rhs(InverseCDF([v]), prof, exps)[0] for v in x]
+            conv = [discrete_energy(InverseCDF([v]), prof, exps) for v in x]
+        for got, ref in ((u, refs[0]), (conv, refs[1])):
+            ulp = np.spacing(np.max(np.abs(ref))) * np.count_nonzero(
+                prof.densities)
+            assert np.max(np.abs(np.array(got) - ref)) <= 4 * ulp
+
+    def test_piece_whose_half_width_rounds_to_zero(self):
+        # w = 5e-324 halves to 0, so the chain runs in doubled lengths: a
+        # node on that piece's end divides by no 0
+        prof = ReferenceProfile([0.0, 5e-324, 1.0], [1e300, 1.0])
+        exps = Exponents(1.5, 1.5)
+        x = np.array([-1.0, 0.0, 5e-324, 0.5, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = [-particle_rhs(InverseCDF([v]), prof, exps)[0] for v in x]
+            conv = [discrete_energy(InverseCDF([v]), prof, exps) for v in x]
+            u_ref = AttractionPotential(prof, 1.5)(x)
+            conv_ref = _datum_conv(prof, 1.5, x)
+        assert np.allclose(u, u_ref, rtol=1e-15, atol=1e-15)
+        assert np.allclose(conv, conv_ref, rtol=1e-15, atol=0.0)
