@@ -1,12 +1,14 @@
 """Energy, dissipation, the Fourier-side energy, and moment certificates.
 
 Every datum term is exact for the piecewise-constant datum unless a caller
-passes a ``MassQuadrature``, and reads the datum in the one form of
-``kernels._pieces``.  The attraction term is the mean of psi_a * omega over
-the state's nodes and the datum's self term its integral against the datum,
-both from the datum sums of ``kernels``.  The pair term comes from the
-repulsion term by Euler's identity, so a state's energy and velocity take
-one repulsion sum.  The Fourier form evaluates the same quadratic energy
+passes a ``MassQuadrature``, which only the benchmark's Fourier job does
+(through ``make_report``, ``tilde_energy``, ``fourier_energy`` and
+``moment_certificate``; ``dissipation`` takes none), and reads the datum in
+the one form of ``kernels._pieces``.  The attraction term is the mean of
+psi_a * omega over the state's nodes and the datum's self term its integral
+against the datum, both from the datum sums of ``kernels``.  The pair term
+comes from the repulsion term by Euler's identity, so a state's energy and
+velocity take one repulsion sum.  The Fourier form evaluates the same quadratic energy
 through characteristic functions.  On that side every measure is a set of
 pieces in that same form: the datum's own pieces, uniform on their widths,
 or point masses (width None), which are the state's nodes or a quadrature's
@@ -128,13 +130,13 @@ def energy(X, profile, exps, quad=None):
     return energy_and_velocity(X, profile, exps, quad)[0]
 
 
-def dissipation(X, profile, exps, quad=None):
+def dissipation(X, profile, exps):
     """D = (1/n) sum V_i^2 with V the velocity of ``energy_and_velocity``.
 
     At q_r = 1 the rank substitution makes this a formal extension of the
-    q_r > 1 dissipation identity.
+    q_r > 1 dissipation identity.  The datum terms are exact.
     """
-    v = energy_and_velocity(X, profile, exps, quad)[1]
+    v = energy_and_velocity(X, profile, exps)[1]
     return float(np.mean(v * v))
 
 
@@ -345,8 +347,12 @@ def moment_certificate(reports, exps, profile, quad=None):
     e0 = reports[0].E
     datum = float(_datum_conv(profile, exps.q_a, np.zeros(1), quad)[0])
     if exps.regime == "attraction_dominated":
-        radius = 8.0 ** (1.0 / (exps.q_a - exps.q_r))
-        bound = 4.0 * (e0 + datum + 2.0 * radius**exps.q_r)
+        try:  # R^{q_r} overflows at close exponents: the bound is inf
+            radius = 8.0 ** (1.0 / (exps.q_a - exps.q_r))
+            tail = 2.0 * radius**exps.q_r
+        except OverflowError:
+            tail = math.inf
+        bound = 4.0 * (e0 + datum + tail)
         observed = max(r.moment_qa for r in reports)
         return CertificateResult(observed <= bound, bound, observed,
                                  "attraction_dominated", exps.q_a)

@@ -4,7 +4,7 @@ The drift generated by the datum is U = psi_a' * omega, which is Lipschitz;
 its constant doubles as the step-size guard for the integrator.  Every datum
 term is one sum (``_datum_sum``) over the datum's one representation
 (``_pieces``): its pieces, exact, or the point masses of a ``MassQuadrature``
-where a caller passes one, as the particle oracle's reference.  U,
+where a caller passes one, which only the benchmark's Fourier job does.  U,
 psi_a * omega and the datum's self term are each one level of it.  Only
 q_a = 1 (U = 2G - m) and the exact datum at q = 2 keep O(n) closed forms.
 
@@ -232,8 +232,8 @@ class AttractionPotential:
     """Drift U = psi_a' * omega with its Lipschitz constant.
 
     ``y_nodes`` holds the datum's breakpoints without ``quad``, where U is
-    exact by pieces, and Y(quad.nodes) with it, the particle oracle's
-    reference.  For q_a = 1 both use the exact CDF form U = 2G - m.
+    exact by pieces, and Y(quad.nodes) with it.  For q_a = 1 both use the
+    exact CDF form U = 2G - m.
     """
 
     profile: object

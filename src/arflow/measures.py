@@ -250,10 +250,6 @@ class MassQuadrature:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def total(self):
-        return float(np.sum(self.weights))
-
     @classmethod
     def midpoint(cls, profile, num_nodes):
         """Default rule: midpoints zeta_j = (j - 1/2) m / M with equal weights."""

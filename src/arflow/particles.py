@@ -14,9 +14,8 @@ subtraction), and keep ``np.power`` and ``np.sum`` where the kernels use
 exp(p ln d) and BLAS sums, so the two power evaluations stay independent.
 The datum term is exact: each piece integrates the formula through its
 primitive, about the piece's centre, where the kernels take it from its far
-end with exp(p ln d).  A ``MassQuadrature``, where a caller passes one,
-replaces it by a sum over the quantile nodes.  The rows are tiled by
-``kernels._scratch_blocks``, so memory stays under the kernels' cap.
+end with exp(p ln d).  The rows are tiled by ``kernels._scratch_blocks``, so
+memory stays under the kernels' cap.
 """
 
 from __future__ import annotations
@@ -58,10 +57,10 @@ def _psi_prime(q, d, mag, *_):
     np.copysign(mag, d, out=d)
 
 
-def _datum_sums(p, profile, q, quad, kernel, odd):
-    """(kernel(q, .) * omega)(p_i) for every i; with ``quad``, its quadrature.
+def _datum_sums(p, profile, q, kernel, odd):
+    """(kernel(q, .) * omega)(p_i) for every i, exact by pieces.
 
-    Exact otherwise: the piece [b_k, b_{k+1}] of density rho_k and width 2h
+    The piece [b_k, b_{k+1}] of density rho_k and width 2h
     adds rho_k (P(c + h) - P(c - h)), c = (p - b_{k+1}) + h, with P of power
     s the primitive |t|^q, or sgn(t) |t|^{q+1} / (q+1) if ``odd``.  With
     M = max(|c|, h), r = min(|c|, h) / M and E(+-r) = expm1(s log1p(+-r)),
@@ -69,9 +68,6 @@ def _datum_sums(p, profile, q, quad, kernel, odd):
     the piece and M^s (2 + E(r) + E(-r)) inside it.  E(r) >= 0 >= E(-r), so
     nothing cancels.
     """
-    if quad is not None:
-        y = profile.quantile(quad.nodes)
-        return _row_sums(p, y, quad.weights, q, kernel)
     w, s = np.diff(profile.breakpoints), q + odd
 
     def piece(q, c, m, r, v):  # in lengths 2c, 2M, 2h = w: h may round to 0
@@ -94,28 +90,26 @@ def _datum_sums(p, profile, q, quad, kernel, odd):
                      piece) / (q + 1.0) ** odd
 
 
-def discrete_energy(X, profile, exps, quad=None):
+def discrete_energy(X, profile, exps):
     """E_N = -1/(2N^2) sum psi_r(p_i - p_j) + (1/N) sum (psi_a * omega)(p_i).
 
-    The particles p_i are the nodes of the state X.  The datum term is
-    exact unless ``quad`` is given.
+    The particles p_i are the nodes of the state X.
     """
     p = X.x_values
     rep = np.sum(_row_sums(p, p, None, exps.q_r, _psi))
-    attr = np.sum(_datum_sums(p, profile, exps.q_a, quad, _psi, True))
+    attr = np.sum(_datum_sums(p, profile, exps.q_a, _psi, True))
     return float(-rep / (2.0 * X.n * X.n) + attr / X.n)
 
 
-def particle_rhs(X, profile, exps, quad=None):
+def particle_rhs(X, profile, exps):
     """Scaled steepest descent -N dE_N/dp_i at the nodes p_i of X; q_r > 1.
 
     At q_r = 1 the repulsion gradient is set-valued whenever particles
-    coincide, so that case is rejected.  The datum term is exact unless
-    ``quad`` is given.
+    coincide, so that case is rejected.
     """
     if exps.q_r == 1.0:
         raise ValueError("particle flow undefined for q_r = 1 (set-valued gradient)")
     p = X.x_values
     rep = _row_sums(p, p, None, exps.q_r, _psi_prime) / X.n
-    attr = _datum_sums(p, profile, exps.q_a, quad, _psi_prime, False)
+    attr = _datum_sums(p, profile, exps.q_a, _psi_prime, False)
     return rep - attr

@@ -13,6 +13,7 @@ from arflow import (
     MonotonicityError,
     ReferenceProfile,
     closed_form_q2,
+    particle_rhs,
     rhs,
     simulate,
     step,
@@ -248,6 +249,33 @@ class TestSimulate:
         for s in traj.states:
             bound = (np.max(np.abs(X0.x_values)) + c1 * s.t) * np.exp(s.t)
             assert np.max(np.abs(s.X.x_values)) <= bound
+
+    @pytest.mark.parametrize("q_a, q_r", [(1.8, 1.4), (1.5, 1.5), (2.0, 1.3),
+                                          (1.3, 1.0), (1.6, 1.2)])
+    def test_reflection_and_translation(self, q_a, q_r):
+        # every sign choice of the datum sums and the oracle at once: the
+        # flow commutes with x -> -x (datum reflected, X -> -X[::-1]) and
+        # with a shift, which moves the datum and the state alike
+        b, rho = np.array([0.0, 0.5, 1.5, 2.0]), np.array([1.0, 0.0, 1.0])
+        exps = Exponents(q_a, q_r)
+        cfg = IntegratorConfig(dt=0.02, t_end=2.0, record_every=100)
+        x0 = uniform_state(-1.0, 3.0, 64).x_values
+
+        def run(breaks, densities, x):
+            prof = ReferenceProfile(breaks, densities)
+            traj = simulate(InverseCDF(x), prof, exps, cfg)
+            return prof, traj.states[-1].X.x_values
+
+        prof, x = run(b, rho, x0)
+        prof_m, x_m = run(-b[::-1], rho[::-1], -x0[::-1])
+        assert np.max(np.abs(x_m + x[::-1])) <= 1e-14 * np.max(np.abs(x))
+        shift = 1e3
+        _, x_t = run(b + shift, rho, x0 + shift)
+        assert np.max(np.abs(x_t - (x + shift))) <= 16 * np.spacing(shift)
+        if q_r > 1.0:
+            v = particle_rhs(InverseCDF(x), prof, exps)
+            v_m = particle_rhs(InverseCDF(-x[::-1]), prof_m, exps)
+            assert np.max(np.abs(v_m + v[::-1])) <= 1e-14 * np.max(np.abs(v))
 
     def test_w2_to_steady_nonincreasing(self, uniform_profile):
         X0 = uniform_state(1.0, 2.0, 100)

@@ -108,13 +108,12 @@ def quad_node_reads(path):
     return reads
 
 
-def test_quadrature_nodes_read_in_two_places():
-    # every datum term takes its pieces from kernels._pieces; only the
-    # independent particle oracle maps the quadrature's nodes on its own
+def test_quadrature_nodes_read_in_one_place():
+    # every datum term takes its pieces from kernels._pieces, and the
+    # particle oracle takes no quadrature
     reads = {(path.stem, name) for path in MODULES
              for name in quad_node_reads(path)}
-    assert reads == {("kernels", "_pieces"),
-                     ("particles", "_datum_sums")}
+    assert reads == {("kernels", "_pieces")}
 
 
 def energetics_tree():

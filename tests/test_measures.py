@@ -338,7 +338,8 @@ class TestReferenceProfile:
 class TestMassQuadrature:
     def test_midpoint_total(self, dense2_profile):
         quad = MassQuadrature.midpoint(dense2_profile, 37)
-        assert quad.total == pytest.approx(dense2_profile.mass, rel=1e-12)
+        assert np.sum(quad.weights) == pytest.approx(dense2_profile.mass,
+                                                     rel=1e-12)
         assert np.all(quad.nodes > 0) and np.all(quad.nodes < dense2_profile.mass)
 
     def test_validation(self):
