@@ -1,4 +1,4 @@
-"""Batch driver: run simulations, steady-state builds, and energy audits.
+"""Command line: ``simulate``, ``steady``, ``oracle-check``, ``energy-audit``.
 
 All inputs come from a single JSON config; outputs are deterministic CSV/JSON
 artifacts (fixed reduction orders, no wall-clock values).
@@ -200,14 +200,11 @@ def cmd_simulate(config, out):
         raise ConfigError(str(exc)) from exc
     ss = (steady.steady_qr1(cfg.profile, cfg.exps.q_a, cfg.n)
           if cfg.exps.q_r == 1.0 else None)
-    # a run that fails writes nothing, so every output is built first; an
-    # overflowed report or distance is refused before energy_balance and
-    # the W2 differences would warn on it
-    with np.errstate(over="ignore", invalid="ignore"):
-        reports = [energetics.make_report(s.t, s.X, cfg.profile, cfg.exps)
-                   for s in traj.states]
-        w2 = np.array([wasserstein(s.X, ss.Xstar, 2.0) for s in traj.states]
-                      if ss is not None and ss.kind != "none_exists" else [])
+    # a run that fails writes nothing, so every output is built first
+    reports = [energetics.make_report(s.t, s.X, cfg.profile, cfg.exps)
+               for s in traj.states]
+    w2 = np.array([wasserstein(s.X, ss.Xstar, 2.0) for s in traj.states]
+                  if ss is not None and ss.kind != "none_exists" else [])
     values = [(r.E, r.D, r.moment_qa, r.moment_r) for r in reports]
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(w2))):
         raise OverflowError("an energy report or a W2 distance overflowed")
@@ -286,12 +283,10 @@ def cmd_oracle_check(config, seed):
             u = (np.frombuffer(rng.randbytes(8 * cfg.n), dtype="<u8")
                  >> np.uint64(11)) * 2.0**-53
             X = InverseCDF(np.sort(centre + (-2.0 + 5.0 * u)))
-            # a value that overflowed is refused before its difference is
-            # taken: max() would drop a NaN difference
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = particle_rhs(X, cfg.profile, exps)
-                e = discrete_energy(X, cfg.profile, exps)
-                E, V = energetics.energy_and_velocity(X, cfg.profile, exps)
+            v = particle_rhs(X, cfg.profile, exps)
+            e = discrete_energy(X, cfg.profile, exps)
+            E, V = energetics.energy_and_velocity(X, cfg.profile, exps)
+            # max() would drop a NaN difference
             if not (np.all(np.isfinite(v)) and np.all(np.isfinite(V))
                     and np.isfinite(e) and np.isfinite(E)):
                 raise OverflowError(f"oracle-check: the rhs or energy at "
@@ -357,10 +352,8 @@ def cmd_energy_audit(out):
         if X.n != n:
             raise OSError(f"corrupt trajectory in {traj_dir}: {name} has "
                           f"{X.n} nodes, the run has {n}")
-    # an overflowed report is refused before energy_balance would warn on it
-    with np.errstate(over="ignore", invalid="ignore"):
-        reports = [energetics.make_report(t, X, profile, exps)
-                   for t, X in zip(times.tolist(), states)]
+    reports = [energetics.make_report(t, X, profile, exps)
+               for t, X in zip(times.tolist(), states)]
     if not np.all(np.isfinite([(r.E, r.D, r.moment_qa, r.moment_r)
                                for r in reports])):
         raise OSError(f"corrupt trajectory in {traj_dir}: a report overflowed")
@@ -408,10 +401,11 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; each takes its parsed options as keywords."""
+    """Run one command on its parsed options; its checks refuse overflows."""
     args = vars(build_parser().parse_args(argv))
     try:
-        return args.pop("run")(**args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.pop("run")(**args)
     except (ConfigError, MemoryError) as exc:  # or an n too large for memory
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

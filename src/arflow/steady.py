@@ -1,13 +1,13 @@
 """Explicit steady states for q_r = 1 and the stationarity residual.
 
-The equilibrium quantile function solves U(X*(z)) = 2z - 1.  At q_a = 2 the
-drift is affine, U(x) = 2m(x - com), so X* = com + (2z - 1)/(2m) in closed
-form; for 1 < q_a < 2 one bisection inverts U at the support edges and all
-nodes together, halving one bracket ceil(log2(width / ``_TOL``)) times; for
-q_a = 1 X* is a shifted window of the datum's quantile function.  For m < 1
-(q = 1) only a partial limit profile exists and the outer mass escapes.
-Nothing here takes a time step, so the integrator's step-size guard does not
-apply.
+The equilibrium quantile function solves U(X*(z)) = 2z - 1, and one inverse
+of the drift gives every node and edge.  At q_a = 2 the drift is affine,
+U(x) = 2m(x - com), so X* = com + (2z - 1)/(2m) in closed form; for
+1 < q_a < 2 one bisection inverts U at the edges and all nodes together,
+halving one bracket ceil(log2(width / ``_TOL``)) times; for q_a = 1 X* is a
+shifted window of the datum's quantile function.  For m < 1 (q = 1) only a
+partial limit profile exists and the outer mass escapes.  Nothing here
+takes a time step, so the integrator's step-size guard does not apply.
 """
 
 from __future__ import annotations
@@ -86,33 +86,41 @@ def invert_increasing(f, targets, lo, hi):
     return 0.5 * (lo_arr + hi_arr)
 
 
+def _invert_drift(profile, q_a, z):
+    """The x with U(x) = 2z - 1 at each mass level z in [0, 1].
+
+    At q_a = 1: the datum's quantile at zeta = z + (m - 1)/2, the end of its
+    mass (past any trailing gap) at zeta = m, and NaN outside [0, m].
+    """
+    m = profile.mass
+    if q_a == 2.0:
+        return profile.com() + (2.0 * z - 1.0) * (0.5 / m)
+    if q_a != 1.0:
+        pot = AttractionPotential(profile, q_a)
+        return invert_increasing(pot, 2.0 * z - 1.0, *profile.support)
+    zeta = z + (m - 1.0) / 2.0
+    end = profile.breakpoints[1:][profile.densities > 0][-1]
+    x = np.where(zeta == m, end, np.nan)
+    inside = (zeta >= 0.0) & (zeta < m)
+    x[inside] = profile.quantile(zeta[inside])
+    return x
+
+
 def steady_qr1(profile, q_a, n):
     """Steady state for q_r = 1 (unique for q_a > 1; shifted datum for q_a = 1).
 
-    Closed form at q_a = 2; for 1 < q_a < 2 one bisection, on the targets
-    -1, 0, 1 of the support edges and 2z - 1 of the nodes.
+    One inversion of the drift, at the levels 0, 1/2, 1 of the edges and
+    the centre and at the nodes; OverflowError where a root is not finite.
     """
-    m = profile.mass
-    z = midpoint_grid(n)
-    if q_a == 1.0:
-        if m < 1.0:
-            return SteadyState(None, None, None, None, "none_exists")
-        shift = (m - 1.0) / 2.0
-        top = shift + 1.0  # the mass window [shift, top] reaches m at m = 1
-        x_hi = profile.quantile(top) if top < m else profile.support[1]
-        return SteadyState(InverseCDF(profile.quantile(z + shift)),
-                           profile.quantile(shift), x_hi,
-                           profile.quantile(m / 2.0), "qa_eq_1_shift")
-    if q_a == 2.0:
-        com, half = profile.com(), 0.5 / m
-        return SteadyState(InverseCDF(com + (2.0 * z - 1.0) * half),
-                           com - half, com + half, com, "qa_gt_1")
-    pot = AttractionPotential(profile, q_a)
-    lo, hi = profile.support
-    roots = invert_increasing(pot, np.r_[-1.0, 0.0, 1.0, 2 * z - 1], lo, hi)
-    (x_lo, x_zero, x_hi), xstar = roots[:3], roots[3:]
-    return SteadyState(InverseCDF(xstar), float(x_lo), float(x_hi),
-                       float(x_zero), "qa_gt_1")
+    if q_a == 1.0 and profile.mass < 1.0:
+        return SteadyState(None, None, None, None, "none_exists")
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = _invert_drift(profile, q_a, np.r_[0, 0.5, 1, midpoint_grid(n)])
+    if not np.all(np.isfinite(roots)):
+        raise OverflowError(f"the steady state at q_a = {q_a} overflows")
+    x_lo, x_zero, x_hi = roots[:3].tolist()
+    return SteadyState(InverseCDF(roots[3:]), x_lo, x_hi, x_zero,
+                       "qa_eq_1_shift" if q_a == 1.0 else "qa_gt_1")
 
 
 def shifted_profile_mlt1(profile, n):
@@ -121,14 +129,10 @@ def shifted_profile_mlt1(profile, n):
     if m >= 1.0:
         raise ValueError("shifted profile requires m < 1")
     z = midpoint_grid(n)
-    lo, hi = (1.0 - m) / 2.0, (1.0 + m) / 2.0
-    inside = (z >= lo) & (z <= hi)
-    values = np.full(n, np.nan)
-    # clip guards the right edge where zeta would hit m exactly
-    zeta = np.clip(z[inside] - lo, 0.0, np.nextafter(m, 0.0))
-    values[inside] = profile.quantile(zeta)
-    escape = np.where(inside, 0, np.sign(2.0 * z - 1.0 + m)).astype(int)
-    return ShiftedProfile(values, escape, (lo, hi))
+    values = _invert_drift(profile, 1.0, z)
+    escape = np.where(np.isnan(values), np.sign(2.0 * z - 1.0 + m), 0)
+    return ShiftedProfile(values, escape.astype(int),
+                          ((1.0 - m) / 2.0, (1.0 + m) / 2.0))
 
 
 def steady_residual(X, profile, exps):

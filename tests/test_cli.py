@@ -409,22 +409,47 @@ class TestSteady:
         assert "q_r = 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["steady", "simulate"])
-    def test_unbracketed_equilibrium_exit_3_before_output(
-            self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, breaks, densities, q_a, message", [
         # at mass 0.003 and q_a = 1.02 the drift reaches 1 only where
         # 1.02 * 0.003 |x|^0.02 = 1, at |x| near 1e126: past the 2^200
         # doublings of the bisection bracket
-        write_profile(tmp_path, [0.0, 0.5], [0.006])
+        *[pytest.param(command, [0.0, 0.5], [0.006], 1.02,
+                       "could not bracket", id=command)
+          for command in ("steady", "simulate")],
+        # at the subnormal mass 1e-310 the q_a = 2 equilibrium's half-width
+        # 1/(2m) is past the largest double; warnings are errors here
+        *[pytest.param(command, [0.0, 1.0], [1e-310], 2.0, "overflows",
+                       id=f"subnormal-mass-{command}")
+          for command in ("steady", "simulate")],
+    ])
+    def test_unbracketed_equilibrium_exit_3_before_output(
+            self, tmp_path, capsys, command, breaks, densities, q_a,
+            message):
+        write_profile(tmp_path, breaks, densities)
         cfg = write_config(tmp_path, {
-            "profile": "profile.json", "q_a": 1.02, "q_r": 1.0, "n": 32,
+            "profile": "profile.json", "q_a": q_a, "q_r": 1.0, "n": 32,
             "dt": 1.0, "t_end": 2.0,
         })
         out = tmp_path / "out"
         assert cli.main([command, "--config", str(cfg),
                          "--out", str(out)]) == 3
-        assert "could not bracket" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("densities, edge", [
+        ([1.0, 0.0], "x_hi"),
+        ([0.0, 1.0], "x_lo"),
+    ], ids=["trailing-gap", "leading-gap"])
+    def test_q1_edges_are_the_ends_of_the_mass(self, tmp_path, densities,
+                                               edge):
+        write_profile(tmp_path, [0.0, 1.0, 2.0], densities)
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.0, "q_r": 1.0, "n": 16,
+        })
+        out = tmp_path / "steady"
+        assert cli.main(["steady", "--config", str(cfg),
+                        "--out", str(out)]) == 0
+        assert json.loads((out / "steady.json").read_text())[edge] == 1.0
 
 
 class TestOracleCheck:

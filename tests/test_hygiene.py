@@ -211,13 +211,20 @@ def test_invert_increasing_has_no_tol():
 
 
 def test_steady_qr1_inverts_the_drift_once():
+    # both q_r = 1 limits take every node and edge from one inverse, so
+    # neither writes the shift or the rule at G = m itself
+    for name in ("steady_qr1", "shifted_profile_mlt1"):
+        func = top_function("steady", name)
+        calls = [node.lineno for node in ast.walk(func)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id == "_invert_drift"]
+        assert len(calls) == 1, f"{name} inverts at lines {calls}"
+        for other in ("quantile", "invert_increasing", "com"):
+            assert named_lines(func, other) == [], f"{name} reads {other}"
     # the support edges and the node levels share one bracket
-    func = top_function("steady", "steady_qr1")
-    calls = [node.lineno for node in ast.walk(func)
-             if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Name)
-             and node.func.id == "invert_increasing"]
-    assert len(calls) == 1, f"invert_increasing called at lines {calls}"
+    inverse = top_function("steady", "_invert_drift")
+    assert len(named_lines(inverse, "invert_increasing")) == 1
 
 
 def test_invert_increasing_has_no_while():

@@ -126,6 +126,26 @@ class TestSteadyQr1:
         z = midpoint_grid(n)
         assert np.array_equal(ss.Xstar.x_values, uniform_profile.quantile(z))
 
+    @pytest.mark.parametrize("densities, edge", [
+        ([1.0, 0.0], "x_hi"),
+        ([0.0, 1.0], "x_lo"),
+    ], ids=["trailing-gap", "leading-gap"])
+    def test_q1_edges_are_the_ends_of_the_mass(self, densities, edge):
+        # at m = 1 the steady state is the datum, whose mass ends at 1, not
+        # at the far end of the empty piece
+        prof = ReferenceProfile([0.0, 1.0, 2.0], densities)
+        ss = steady_qr1(prof, 1.0, 16)
+        assert getattr(ss, edge) == 1.0
+        assert ss.x_lo <= ss.Xstar.x_values[0] <= ss.Xstar.x_values[-1] \
+            <= ss.x_hi
+
+    def test_q2_overflowing_half_width(self):
+        # a subnormal mass puts the edges com -+ 1/(2m) past the largest
+        # double: refused, with no RuntimeWarning (warnings are errors here)
+        prof = ReferenceProfile([0.0, 1.0], [1e-310])
+        with pytest.raises(OverflowError, match="overflows"):
+            steady_qr1(prof, 2.0, 16)
+
     def test_q1_small_mass_none(self, half_profile):
         ss = steady_qr1(half_profile, 1.0, 50)
         assert ss.kind == "none_exists"
@@ -199,6 +219,14 @@ class TestShiftedProfile:
         z = midpoint_grid(n)
         assert np.all(sp.escape[z < 0.25] == -1)
         assert np.all(sp.escape[z > 0.75] == 1)
+
+    def test_node_at_window_top_is_the_end_of_the_mass(self):
+        # at n = 2 the node z = 3/4 is the window's top, where the shifted
+        # level reaches the mass 1/2, which ends at x = 1
+        sp = shifted_profile_mlt1(ReferenceProfile([0.0, 1.0], [0.5]), 2)
+        assert sp.window == (0.25, 0.75)
+        assert sp.values.tolist() == [0.0, 1.0]
+        assert sp.escape.tolist() == [0, 0]
 
     def test_requires_small_mass(self, dense2_profile):
         with pytest.raises(ValueError):
