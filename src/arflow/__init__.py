@@ -6,7 +6,6 @@ from .dynamics import (
     MonotonicityError,
     Trajectory,
     closed_form_q2,
-    rhs,
     simulate,
     step,
 )

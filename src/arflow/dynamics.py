@@ -1,8 +1,8 @@
 """Time integration of the quantile-coordinate evolution equation.
 
-The right-hand side combines the attraction drift -U(X) with pairwise
-repulsion; both exponent branches (q = 1 vs q > 1) are handled.  A closed
-form for q_a = q_r = 2 serves as an integrator oracle.
+The velocity V = rep - U(X), pairwise repulsion plus the attraction drift
+-U(X) in both exponent branches (q = 1 vs q > 1), has one formula,
+``_velocity``.  A closed form for q_a = q_r = 2 is an integrator oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "MonotonicityError",
-    "rhs",
     "repulsion_term",
     "repulsion_direct",
     "step",
@@ -127,24 +126,21 @@ def repulsion_direct(x, q_r):
     return out
 
 
-def _rhs_values(x, z, pot, exps):
-    return repulsion_term(x, z, exps.q_r) - pot(x)
+def _velocity(x, z, pot, q_r):
+    """Repulsion rep at x and the velocity V = rep - U(x): V's one formula."""
+    rep = repulsion_term(x, z, q_r)
+    return rep, rep - pot(x)
 
 
-def rhs(X, pot, exps):
-    """Velocity field V of the transformed equation at state X."""
-    return _rhs_values(X.x_values, X.z_grid, pot, exps)
-
-
-def step(state, cfg, pot, exps):
+def step(state, cfg, pot, q_r):
     """One accepted RK4 step; aborts if the update breaks monotonicity."""
     cfg.check_guard(pot.lam)
     x, z, dt = state.X.x_values, state.X.z_grid, cfg.dt
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        k1 = _rhs_values(x, z, pot, exps)
-        k2 = _rhs_values(x + 0.5 * dt * k1, z, pot, exps)
-        k3 = _rhs_values(x + 0.5 * dt * k2, z, pot, exps)
-        k4 = _rhs_values(x + dt * k3, z, pot, exps)
+        k1 = _velocity(x, z, pot, q_r)[1]
+        k2 = _velocity(x + 0.5 * dt * k1, z, pot, q_r)[1]
+        k3 = _velocity(x + 0.5 * dt * k2, z, pot, q_r)[1]
+        k4 = _velocity(x + dt * k3, z, pot, q_r)[1]
         x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(x_new)):
         raise OverflowError(f"state overflowed at t={state.t + cfg.dt}")
@@ -182,7 +178,7 @@ def simulate(X0, profile, exps, cfg):
     cert = 1.0
     n_steps = cfg.n_steps
     for k in range(1, n_steps + 1):
-        state = step(state, cfg, pot, exps)
+        state = step(state, cfg, pot, exps.q_r)
         if k % cfg.record_every == 0 or k == n_steps:
             states.append(state)
             cert = min(cert, _slope_ratio(state.min_slope, alpha,

@@ -7,18 +7,18 @@ passes a ``MassQuadrature``, which only the benchmark's Fourier job does
 the one form of ``kernels._pieces``.  The attraction term is the mean of
 psi_a * omega over the state's nodes and the datum's self term its integral
 against the datum, both from the datum sums of ``kernels``.  The pair term
-comes from the repulsion term by Euler's identity, so a state's energy and
-velocity take one repulsion sum.  The Fourier form evaluates the same quadratic energy
-through characteristic functions.  On that side every measure is a set of
-pieces in that same form: the datum's own pieces, uniform on their widths,
-or point masses (width None), which are the state's nodes or a quadrature's
-nodes.  One sum over the pieces gives each transform, one formula their
-moments, and one helper integrates the difference of two transforms over
-xi, on Gauss-Legendre panels uniform in ln xi, with an error bound that
-holds the truncated head and tail and the rule's own error.  The moment
-certificates turn the a-priori bounds on energy sublevels into checkable
-per-snapshot inequalities; they take their Fourier-side term exactly, in
-real space.
+comes from the repulsion term of ``dynamics._velocity`` by Euler's identity,
+so a state's energy and velocity take one repulsion sum.  The Fourier form
+evaluates the same quadratic energy through characteristic functions.  On
+that side every measure is a set of pieces in that same form: the datum's
+own pieces, uniform on their widths, or point masses (width None), which
+are the state's nodes or a quadrature's nodes.  One sum over the pieces
+gives each transform, one formula (``kernels._moments``) their moments, and
+one helper integrates the difference of two transforms over xi, on
+Gauss-Legendre panels uniform in ln xi, with an error bound that holds the
+truncated head and tail and the rule's own error.  The moment certificates
+turn the a-priori bounds on energy sublevels into checkable per-snapshot
+inequalities; they take their Fourier-side term exactly, in real space.
 
 ``energy`` and ``dissipation`` each take one output of
 ``energy_and_velocity``, and no other module calls them.  Both names stay:
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .kernels import AttractionPotential, Exponents, _datum_conv, \
-    _datum_sum, _pieces, _scratch_blocks
+from .kernels import AttractionPotential, Exponents, _centres, \
+    _datum_conv, _datum_sum, _moments, _pieces, _scratch_blocks
 from .measures import moment
 
 __all__ = [
@@ -110,7 +110,7 @@ def _moment_order(q):
 def energy_and_velocity(X, profile, exps, quad=None):
     """Energy E and velocity V = rep - U(x) at X, from one repulsion sum.
 
-    rep is ``dynamics.repulsion_term``, as ``rhs`` takes it.  The pair sum
+    rep and V are ``dynamics._velocity``'s.  The pair sum
     R = sum_{i<j} |x_j - x_i|^{q_r} is translation invariant and homogeneous
     of degree q_r, with gradient n rep, so for any pivot c Euler's identity
     sum_i (x_i - c) d_i R = q_r R gives E = mean(psi_a * omega)(x)
@@ -119,10 +119,11 @@ def energy_and_velocity(X, profile, exps, quad=None):
     the state's spread, not with |x|.  Exact datum terms unless ``quad``.
     """
     x = X.x_values
-    rep = dynamics.repulsion_term(x, X.z_grid, exps.q_r)
+    pot = AttractionPotential(profile, exps.q_a, quad)
+    rep, v = dynamics._velocity(x, X.z_grid, pot, exps.q_r)
     attr = float(np.mean(_datum_conv(profile, exps.q_a, x, quad)))
     pairs = float((x - x[x.size // 2]) @ rep) / (X.n * exps.q_r)
-    return attr - pairs, rep - AttractionPotential(profile, exps.q_a, quad)(x)
+    return attr - pairs, v
 
 
 def energy(X, profile, exps, quad=None):
@@ -187,16 +188,6 @@ def dq_constant(q):
     )
 
 
-def _centres(pieces):
-    """Centres, masses and widths of pieces in ``kernels._pieces``' form.
-
-    A piece of density rho on [a, a + w] has centre a + w/2 and mass rho w;
-    a point mass (w None) is its own centre.
-    """
-    a, w, rho = pieces
-    return (a, rho, w) if w is None else (a + 0.5 * w, rho * w, w)
-
-
 def _char_fn(pieces, xi):
     """sum_j m_j e^{-i xi c_j} sinc(xi w_j / 2) at each xi.
 
@@ -223,14 +214,6 @@ def _char_fn(pieces, xi):
             part[rows] = trig @ mass
     np.negative(out.imag, out=out.imag)  # e^{-it} = cos t - i sin t
     return out
-
-
-def _moments(pieces):
-    """First three moments of the pieces, each uniform on its width."""
-    centre, mass, width = _centres(pieces)
-    w2 = 0.0 if width is None else width**2
-    terms = (centre, centre**2 + w2 / 12.0, centre**3 + centre * w2 / 4.0)
-    return tuple(float(mass @ t) for t in terms)
 
 
 def _xi_rule():

@@ -6,7 +6,8 @@ term is one sum (``_datum_sum``) over the datum's one representation
 (``_pieces``): its pieces, exact, or the point masses of a ``MassQuadrature``
 where a caller passes one, which only the benchmark's Fourier job does.  U,
 psi_a * omega and the datum's self term are each one level of it.  Only
-q_a = 1 (U = 2G - m) and the exact datum at q = 2 keep O(n) closed forms.
+q_a = 1 (U = 2G - m) and the exact datum at q = 2 keep O(n) closed forms,
+the latter with omega's spread from ``_moments``, as on the Fourier side.
 
 Only the repulsion sums over pairs of nodes, each pair once on the sorted
 state (``_half_triangle``); the energy takes its pair term from it.  Every
@@ -146,6 +147,24 @@ def _pieces(profile, quad=None):
     return b[:-1][keep], np.diff(b)[keep], rho[keep]
 
 
+def _centres(pieces):
+    """Centres, masses and widths of pieces in ``_pieces``' form.
+
+    A piece of density rho on [a, a + w] has centre a + w/2 and mass rho w;
+    a point mass (w None) is its own centre.
+    """
+    a, w, rho = pieces
+    return (a, rho, w) if w is None else (a + 0.5 * w, rho * w, w)
+
+
+def _moments(pieces):
+    """First three moments of the pieces, each uniform on its width."""
+    centre, mass, width = _centres(pieces)
+    w2 = 0.0 if width is None else width**2
+    terms = (centre, centre**2 + w2 / 12.0, centre**3 + centre * w2 / 4.0)
+    return tuple(float(mass @ t) for t in terms)
+
+
 def _datum_sum(x, q, pieces, level):
     """int K(x - y) d omega(y) per x, over the pieces of ``_pieces``.
 
@@ -193,12 +212,12 @@ def _datum_sum(x, q, pieces, level):
 def _datum_conv(profile, q, x, quad=None):
     """psi_q * omega at x: level 0 of the datum sum.
 
-    The exact datum at q = 2 takes m (x - com)^2 plus omega's centred
-    second moment, by pieces, in O(n), both pivoted on b_0.
+    The exact datum at q = 2 takes m (x - com)^2, pivoted on b_0, plus the
+    ``_moments`` spread of the pieces about com, which does not cancel.
     """
     if quad is None and q == 2.0:
-        b = profile.centred(profile.breakpoints)
-        spread = profile.densities @ (b[1:] ** 3 - b[:-1] ** 3) / 3.0
+        a, w, rho = _pieces(profile)
+        spread = _moments((profile.centred(a), w, rho))[1]
         return profile.mass * profile.centred(x) ** 2 + spread
     return _datum_sum(x, q, _pieces(profile, quad), 0)
 

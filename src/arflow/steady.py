@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import rhs
+from .energetics import energy_and_velocity
 from .kernels import AttractionPotential
 from .measures import InverseCDF, midpoint_grid
 
@@ -136,6 +136,5 @@ def shifted_profile_mlt1(profile, n):
 
 
 def steady_residual(X, profile, exps):
-    """Sup-norm stationarity defect ||rhs(X)||_inf."""
-    pot = AttractionPotential(profile, exps.q_a)
-    return float(np.max(np.abs(rhs(X, pot, exps))))
+    """Sup-norm stationarity defect max |V| of ``energy_and_velocity``."""
+    return float(np.max(np.abs(energy_and_velocity(X, profile, exps)[1])))

@@ -104,22 +104,33 @@ NARROW_DATUMS = {
     "two-pieces-gap": ([0.0, 1e-3, 1.0, 1.0 + 1e-3], [500.0, 0.0, 500.0]),
 }
 
+# unit-mass datums with pieces 1e-8 wide far from the centre of mass, on
+# which omega's spread from cubed breakpoints cancels (the energy's q = 2
+# term); kept apart from NARROW_DATUMS, as the datum's self term cancels on
+# them too
+SPREAD_DATUMS = {
+    "two-1e-8-pieces": ([0.0, 1e-8, 1.0, 1.00000001], [5e7, 0.0, 5e7]),
+    "unit-plus-1e-8-at-10": ([0.0, 1.0, 10.0, 10.00000001],
+                             [0.5, 0.0, 5e7]),
+}
 
-def _positive_pieces(name):
-    breaks, densities = NARROW_DATUMS[name]
+
+def _positive_pieces(datum):
+    breaks, densities = datum
     return [(breaks[k], breaks[k + 1], rho)
             for k, rho in enumerate(densities) if rho > 0]
 
 
-def decimal_datum_sums(name, q, x, levels):
-    """Level-l datum sums of ``NARROW_DATUMS[name]`` at x, to 50 digits.
+def decimal_datum_sums(datum, q, x, levels):
+    """Level-l datum sums of ``datum = (breaks, densities)`` at x, to 50
+    digits.
 
     Stdlib ``decimal`` only: each piece adds rho (P(x - b_k) - P(x - b_{k+1}))
     with P the primitive sgn(d)^m |d|^{q+m} / ((q+1)...(q+m)), m = l + 1, of
     the level-l kernel, from the doubles converted exactly.  One row per
     level.
     """
-    pieces = _positive_pieces(name)
+    pieces = _positive_pieces(datum)
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         dq = decimal.Decimal(q)
@@ -154,12 +165,12 @@ def decimal_datum_terms(name, q):
     Beside a grid of step 0.02 the points sit 0.5, 2 and 10 widths off
     either end of each piece.
     """
-    pieces = _positive_pieces(name)
+    pieces = _positive_pieces(NARROW_DATUMS[name])
     x = np.concatenate([np.linspace(-3.0, 3.0, 301)] + [
         [a - f * (b - a), b + f * (b - a)]
         for a, b, _ in pieces for f in (0.5, 2.0, 10.0)])
     x = np.array([v for v in x if not any(a <= v <= b for a, b, _ in pieces)])
-    u, c = decimal_datum_sums(name, q, x, (-1, 0))
+    u, c = decimal_datum_sums(NARROW_DATUMS[name], q, x, (-1, 0))
     return x, u, c
 
 
@@ -172,9 +183,9 @@ def decimal_inside_terms(name, q):
     end, and the centre.
     """
     x = []
-    for a, b, _ in _positive_pieces(name):
+    for a, b, _ in _positive_pieces(NARROW_DATUMS[name]):
         for end in (a, b):
             x += [np.nextafter(end, -np.inf), end, np.nextafter(end, np.inf)]
         x.append(0.5 * (a + b))
     x = np.array(x)
-    return x, decimal_datum_sums(name, q, x, (-1, 0, 1))
+    return x, decimal_datum_sums(NARROW_DATUMS[name], q, x, (-1, 0, 1))

@@ -11,6 +11,7 @@ import pytest
 
 from arflow import InverseCDF, cli, energetics, kernels, measures, \
     uniform_state
+from conftest import SPREAD_DATUMS
 
 SRC = str(Path(cli.__file__).resolve().parent.parent)
 
@@ -482,11 +483,14 @@ class TestOracleCheck:
         assert "pass" in capsys.readouterr().out
 
     @pytest.mark.parametrize("breaks,densities", [
-        ([0.0, 1e-3], [1e3]), ([0.0, 1e-6], [1e6])], ids=["1e-3", "1e-6"])
+        ([0.0, 1e-3], [1e3]), ([0.0, 1e-6], [1e6]),
+        *SPREAD_DATUMS.values()], ids=["1e-3", "1e-6", *SPREAD_DATUMS])
     def test_narrow_datum(self, tmp_path, capsys, breaks, densities):
         # both sides take each piece's difference of primitives in a form
         # that does not cancel; a breakpoint (jump) form fails here, with
-        # rhs differences 3.4e-12 and 2.7e-9
+        # rhs differences 3.4e-12 and 2.7e-9.  On SPREAD_DATUMS omega's
+        # spread from cubed breakpoints failed the q_a = 2 energies, with
+        # differences 6.6e-11 and 5.6e-8
         write_profile(tmp_path, breaks, densities)
         cfg = write_config(tmp_path, {
             "profile": "profile.json", "q_a": 1.5, "q_r": 1.5, "n": 64,

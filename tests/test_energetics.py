@@ -23,12 +23,11 @@ from arflow import (
     simulate,
     uniform_state,
 )
-from arflow.dynamics import rhs
+from arflow.dynamics import _velocity
 from arflow.energetics import (
     EnergyReport,
     XiGrid,
     _char_fn,
-    _moments,
     _xi_integral,
     dq_constant,
     make_report,
@@ -36,7 +35,7 @@ from arflow.energetics import (
     self_energy_constant,
     tilde_energy,
 )
-from arflow.kernels import AttractionPotential, _datum_conv, _pieces
+from arflow.kernels import AttractionPotential, _datum_conv, _moments, _pieces
 from arflow.measures import midpoint_grid
 from arflow.steady import steady_qr1
 from conftest import NARROW_DATUMS, psi, psi_prime
@@ -568,7 +567,7 @@ class TestEnergyAndVelocity:
         exps = Exponents(q_a, q_r)
         _, v = energy_and_velocity(X, gap_profile, exps)
         pot = AttractionPotential(gap_profile, q_a)
-        assert np.array_equal(v, rhs(X, pot, exps))
+        assert np.array_equal(v, _velocity(X.x_values, X.z_grid, pot, q_r)[1])
 
     def test_report_makes_one_pair_pass(self, gap_profile, pair_passes):
         # the energy's pair term comes from the repulsion's sum

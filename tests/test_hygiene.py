@@ -293,3 +293,48 @@ def test_cli_fits_rates_without_least_squares_solver():
     # a two-parameter line is solved from its centred sums; the general
     # least-squares solve (LAPACK) has no place on the simulate path
     assert least_squares_calls(source_tree("cli")) == []
+
+
+def call_lines(tree, name):
+    """Lines under ``tree`` that call ``name``, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None))]
+
+
+def test_velocity_has_one_formula():
+    # V = rep - U(x) is formed in dynamics._velocity only, which the RK4
+    # stages, the energy reports and the stationarity residual take
+    callers = {(path.stem, func.name) for path in MODULES
+               for func in ast.walk(ast.parse(path.read_text()))
+               if isinstance(func, ast.FunctionDef)
+               and call_lines(func, "repulsion_term")}
+    assert callers == {("dynamics", "_velocity")}
+
+
+@pytest.mark.parametrize("module", ["dynamics", "__init__"])
+def test_no_rhs(module):
+    # neither a second formula for V nor its export
+    found = [node.lineno for node in ast.walk(source_tree(module))
+             if isinstance(node, ast.FunctionDef) and node.name == "rhs"
+             or isinstance(node, ast.alias) and node.name == "rhs"
+             or isinstance(node, ast.Constant) and node.value == "rhs"]
+    assert found == [], f"rhs at lines {found}"
+
+
+def test_piece_moments_live_in_kernels():
+    # omega's spread at q = 2 and the Fourier side's moments share one
+    # formula, beside _pieces, whose form it reads
+    owners = {(path.stem, node.name) for path in MODULES
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.FunctionDef)
+              and node.name in ("_centres", "_moments")}
+    assert owners == {("kernels", "_centres"), ("kernels", "_moments")}
+    conv = top_function("kernels", "_datum_conv")
+    assert call_lines(conv, "_moments") != []
+    # no cubed breakpoints, whose differences cancel on narrow pieces
+    cubes = [node.lineno for node in ast.walk(conv)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+             and getattr(node.right, "value", None) == 3]
+    assert named_lines(conv, "breakpoints") == [] and cubes == []

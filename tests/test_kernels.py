@@ -21,8 +21,9 @@ from arflow.dynamics import repulsion_direct
 from arflow.energetics import self_energy_constant
 from arflow.kernels import _BLOCK_ELEMS, _datum_conv, _datum_sum, \
     _differences, _half_triangle, _pieces, _pow, _scratch_blocks
-from conftest import NARROW_DATUMS, decimal_datum_terms, \
-    decimal_inside_terms, psi, psi_double_prime, psi_prime
+from conftest import NARROW_DATUMS, SPREAD_DATUMS, decimal_datum_sums, \
+    decimal_datum_terms, decimal_inside_terms, psi, psi_double_prime, \
+    psi_prime
 
 
 class TestExponents:
@@ -467,6 +468,24 @@ class TestNarrowDatum:
             conv = _datum_conv(prof, 1.5, x)
         for got, ref in ((u, u_ref), (conv, conv_ref)):
             # each piece's term rounds on its own
+            ulp = np.spacing(np.max(np.abs(ref))) * np.count_nonzero(
+                prof.densities)
+            assert np.max(np.abs(got - ref)) <= 4 * ulp
+
+    @pytest.mark.parametrize("name", list(SPREAD_DATUMS))
+    def test_q2_closed_forms_within_four_ulp_per_piece(self, name):
+        # omega's spread from cubed breakpoints cancelled here, 2.6e-10 and
+        # 2.5e-9 of psi_2 * omega; the centre form of _moments does not
+        datum = SPREAD_DATUMS[name]
+        prof = ReferenceProfile(*datum)
+        x = np.append(np.linspace(datum[0][0], datum[0][-1], 201),
+                      prof.com())
+        u_ref, conv_ref = decimal_datum_sums(datum, 2.0, x, (-1, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = attraction_U(AttractionPotential(prof, 2.0), x)
+            conv = _datum_conv(prof, 2.0, x)
+        for got, ref in ((u, u_ref), (conv, conv_ref)):
             ulp = np.spacing(np.max(np.abs(ref))) * np.count_nonzero(
                 prof.densities)
             assert np.max(np.abs(got - ref)) <= 4 * ulp

@@ -10,8 +10,8 @@ from arflow import (
     ReferenceProfile,
     discrete_energy,
     energy,
+    energy_and_velocity,
     particle_rhs,
-    rhs,
 )
 from arflow.kernels import _datum_conv
 from arflow.particles import _psi, _psi_prime, _row_sums
@@ -83,15 +83,13 @@ class TestExactOracle:
         prof = request.getfixturevalue(name)
         n = 300
         exps = Exponents(q_a, q_r)
-        pot = AttractionPotential(prof, q_a)
         for _ in range(3):
             x = np.sort(prof.com() + rng.uniform(-2.0, 3.0, n))
             X = InverseCDF(x)
             sys_ = InverseCDF(x)
-            assert np.max(np.abs(rhs(X, pot, exps)
-                                 - particle_rhs(sys_, prof, exps))) <= 1e-12
-            assert abs(energy(X, prof, exps)
-                       - discrete_energy(sys_, prof, exps)) <= 1e-12
+            E, V = energy_and_velocity(X, prof, exps)
+            assert np.max(np.abs(V - particle_rhs(sys_, prof, exps))) <= 1e-12
+            assert abs(E - discrete_energy(sys_, prof, exps)) <= 1e-12
 
 
 class TestBlockedOracle:
