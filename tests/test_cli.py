@@ -456,11 +456,12 @@ class TestSteady:
 class TestOracleCheck:
     def test_default_suite_passes(self, tmp_path, capsys):
         write_profile(tmp_path, [0.0, 1.0], [1.0])
-        cfg = write_config(tmp_path, {
-            "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 64,
-        })
-        assert cli.main(["oracle-check", "--config", str(cfg)]) == 0
-        assert "pass" in capsys.readouterr().out
+        for q, n in [(2.0, 64), (1.5, 32)]:
+            cfg = write_config(tmp_path, {
+                "profile": "profile.json", "q_a": q, "q_r": q, "n": n,
+            })
+            assert cli.main(["oracle-check", "--config", str(cfg)]) == 0
+            assert "pass" in capsys.readouterr().out
 
     @pytest.mark.parametrize("c,breaks,densities", [
         *[pytest.param(c, [0.0, 1.0], [1.0], id=f"{c}")
@@ -631,6 +632,13 @@ class TestOracleCheck:
         assert "FAIL" in capsys.readouterr().out
 
 
+def assert_audit_is_the_runs(out):
+    """``balance.json``'s defect is ``summary.json``'s, bit for bit."""
+    audit = json.loads((out / "balance.json").read_text())["defect"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert audit == summary["energy_balance_defect"]
+
+
 class TestEnergyAudit:
     def test_closed_form_run(self, tmp_path, capsys):
         write_profile(tmp_path, [0.0, 1.0], [1.0])
@@ -647,6 +655,21 @@ class TestEnergyAudit:
         assert cli.main(["energy-audit", "--out", str(out)]) == 0
         doc = json.loads((out / "balance.json").read_text())
         assert doc["defect"] <= 1e-6
+        assert_audit_is_the_runs(out)
+
+    def test_audit_defect_is_the_runs(self, tmp_path):
+        # the audit recomputes the run's reports from its snapshots, bit
+        # for bit, here on a run from the sampled datum (the default)
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.5, "n": 32,
+            "dt": 0.01, "t_end": 0.1,
+        })
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                        "--out", str(out)]) == 0
+        assert cli.main(["energy-audit", "--out", str(out)]) == 0
+        assert_audit_is_the_runs(out)
 
     @pytest.mark.parametrize("name,corrupt", [
         ("index.json", lambda doc: "{not json"),
@@ -1062,6 +1085,36 @@ class TestInitialKinds:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "1000000000" in err
+        assert not out.exists()
+
+    def test_real_allocation_failure_exit_2_before_output(self, tmp_path):
+        # the n = 1e9 grid (7.45 GiB) in a process capped at 3 GB of address
+        # space: numpy's MemoryError, not a monkeypatched one
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+        # np.empty touches no pages, so without a cap in force it succeeds
+        # harmlessly, and the n = 1e9 run below is never started uncapped
+        guard = subprocess.run(
+            [sys.executable, "-c", "import numpy as np; np.empty(2**29)"],
+            preexec_fn=cap, capture_output=True, text=True, env=env)
+        if "MemoryError" not in guard.stderr:
+            pytest.skip("RLIMIT_AS is not enforced here")
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.0,
+            "n": 1000000000,
+        })
+        out = tmp_path / "huge"
+        run = subprocess.run(
+            [sys.executable, "-m", "arflow.cli", "steady", "--config",
+             str(cfg), "--out", str(out)],
+            preexec_fn=cap, capture_output=True, text=True, env=env)
+        assert run.returncode == 2, run.stderr
+        assert "config error" in run.stderr
         assert not out.exists()
 
     def test_unknown_kind(self, tmp_path):

@@ -38,40 +38,36 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == [], f"unused imports in {path.name}"
 
 
-def midpoint_rule_calls(path):
-    """Lines of ``path`` that call ``MassQuadrature.midpoint``."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+def call_lines(tree, name, owner=None):
+    """Lines under ``tree`` that call ``name``, bare or as an attribute;
+    with ``owner``, only ``o.name`` calls for a bare name ``o`` in it."""
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "midpoint"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "MassQuadrature"]
+            and (name in (getattr(node.func, "id", None),
+                          getattr(node.func, "attr", None))
+                 if owner is None else
+                 isinstance(node.func, ast.Attribute)
+                 and node.func.attr == name
+                 and getattr(node.func.value, "id", None) in owner)]
+
+
+NP = ("np", "numpy")
 
 
 @pytest.mark.parametrize("path", MODULES,
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_default_quadrature(path):
     # the datum terms are exact; a quadrature is only ever passed in
-    assert midpoint_rule_calls(path) == [], \
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert call_lines(tree, "midpoint", owner=("MassQuadrature",)) == [], \
         f"MassQuadrature.midpoint called in {path.name}"
-
-
-def power_calls(tree):
-    """Lines of the ``np.power`` calls under the AST node ``tree``."""
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "power"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in ("np", "numpy")]
 
 
 def test_kernels_use_no_np_power():
     # the pair sums take exp(p ln d); the particle oracle keeps np.power,
     # so the oracle check compares two independent power evaluations
     tree = ast.parse((ROOT / "src" / "arflow" / "kernels.py").read_text())
-    assert power_calls(tree) == []
+    assert call_lines(tree, "power", owner=NP) == []
 
 
 def particles_tree():
@@ -82,15 +78,13 @@ def particles_tree():
 def test_particle_oracle_keeps_np_power(name):
     funcs = {node.name: node for node in particles_tree().body
              if isinstance(node, ast.FunctionDef)}
-    assert power_calls(funcs[name]) != [], f"{name} lost its np.power"
+    assert call_lines(funcs[name], "power", owner=NP) != [], \
+        f"{name} lost its np.power"
 
 
 def test_particle_oracle_gathers_nothing():
     # one path per datum piece: no entries picked out for a second formula
-    calls = [node.lineno for node in ast.walk(particles_tree())
-             if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "nonzero"]
+    calls = call_lines(particles_tree(), "nonzero")
     assert calls == [], f"nonzero called at lines {calls}"
 
 
@@ -122,10 +116,7 @@ def energetics_tree():
 
 def test_energetics_has_one_transform_loop():
     # every characteristic function is the one blocked sum of _char_fn
-    calls = [node.lineno for node in ast.walk(energetics_tree())
-             if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Name)
-             and node.func.id == "_scratch_blocks"]
+    calls = call_lines(energetics_tree(), "_scratch_blocks")
     assert len(calls) == 1, f"_scratch_blocks called at lines {calls}"
 
 
@@ -147,13 +138,7 @@ def test_profile_document_has_one_owner():
 
 def test_simulate_reads_its_config_once():
     # RunConfig keeps the document it parsed; config.json is written from it
-    tree = ast.parse((ROOT / "src" / "arflow" / "cli.py").read_text())
-    func = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef)
-                and node.name == "cmd_simulate")
-    opens = [node.lineno for node in ast.walk(func)
-             if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Name) and node.func.id == "open"]
+    opens = call_lines(top_function("cli", "cmd_simulate"), "open")
     assert opens == [], f"open called at lines {opens}"
 
 
@@ -215,10 +200,7 @@ def test_steady_qr1_inverts_the_drift_once():
     # neither writes the shift or the rule at G = m itself
     for name in ("steady_qr1", "shifted_profile_mlt1"):
         func = top_function("steady", name)
-        calls = [node.lineno for node in ast.walk(func)
-                 if isinstance(node, ast.Call)
-                 and isinstance(node.func, ast.Name)
-                 and node.func.id == "_invert_drift"]
+        calls = call_lines(func, "_invert_drift")
         assert len(calls) == 1, f"{name} inverts at lines {calls}"
         for other in ("quantile", "invert_increasing", "com"):
             assert named_lines(func, other) == [], f"{name} reads {other}"
@@ -260,11 +242,8 @@ def test_no_abs_moment():
 
 
 def test_moment_certificate_calls_datum_conv_once():
-    func = top_function("energetics", "moment_certificate")
-    calls = [node.lineno for node in ast.walk(func)
-             if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Name)
-             and node.func.id == "_datum_conv"]
+    calls = call_lines(top_function("energetics", "moment_certificate"),
+                       "_datum_conv")
     assert len(calls) == 1, f"_datum_conv called at lines {calls}"
 
 
@@ -293,14 +272,6 @@ def test_cli_fits_rates_without_least_squares_solver():
     # a two-parameter line is solved from its centred sums; the general
     # least-squares solve (LAPACK) has no place on the simulate path
     assert least_squares_calls(source_tree("cli")) == []
-
-
-def call_lines(tree, name):
-    """Lines under ``tree`` that call ``name``, bare or as an attribute."""
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and name in (getattr(node.func, "id", None),
-                         getattr(node.func, "attr", None))]
 
 
 def test_velocity_has_one_formula():

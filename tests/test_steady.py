@@ -6,6 +6,7 @@ from arflow import (
     Exponents,
     InverseCDF,
     ReferenceProfile,
+    energetics,
     kernels,
     sample_profile,
     steady_qr1,
@@ -260,3 +261,23 @@ class TestSteadyResidual:
         X2 = uniform_state(1.0, 4.0, n)
         res2 = steady_residual(X2, shifted, Exponents(2.0, 2.0))
         assert res2 <= 1e-12
+
+    def test_velocity_without_energy(self, gap_profile, monkeypatch):
+        # max|V| of energy_and_velocity bit for bit, with no datum sum for
+        # the energy beside it
+        n = 64
+        cases = [(X, Exponents(q_a, q_r))
+                 for X in (steady_qr1(gap_profile, 1.5, n).Xstar,
+                           uniform_state(-0.5, 3.5, n))
+                 for q_a, q_r in [(1.0, 1.0), (1.5, 1.0), (2.0, 1.5),
+                                  (2.0, 2.0)]]
+        expected = [float(np.max(np.abs(
+            energetics.energy_and_velocity(X, gap_profile, exps)[1])))
+            for X, exps in cases]
+        calls = []
+        conv = energetics._datum_conv
+        monkeypatch.setattr(energetics, "_datum_conv",
+                            lambda *args: calls.append(args) or conv(*args))
+        assert [steady_residual(X, gap_profile, exps)
+                for X, exps in cases] == expected
+        assert calls == []
