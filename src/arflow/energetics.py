@@ -7,8 +7,8 @@ passes a ``MassQuadrature``, which only the benchmark's Fourier job does
 the one form of ``kernels._pieces``.  The attraction term is the mean of
 psi_a * omega over the state's nodes and the datum's self term its integral
 against the datum, both from the datum sums of ``kernels``.  The pair term
-comes from the repulsion term of ``dynamics._velocity`` by Euler's identity,
-so a state's energy and velocity take one repulsion sum.  The Fourier form
+comes from ``dynamics.repulsion_term`` by Euler's identity, so a state's
+energy and velocity take one repulsion sum.  The Fourier form
 evaluates the same quadratic energy through characteristic functions.  On
 that side every measure is a set of pieces in that same form: the datum's
 own pieces, uniform on their widths, or point masses (width None), which
@@ -20,8 +20,9 @@ truncated head and tail and the rule's own error.  The moment certificates
 turn the a-priori bounds on energy sublevels into checkable per-snapshot
 inequalities; they take their Fourier-side term exactly, in real space.
 
-``energy`` and ``dissipation`` each take one output of
-``energy_and_velocity``, and no other module calls them.  Both names stay:
+``energy`` takes the repulsion alone, with no drift, and shares the energy's
+one formula with ``energy_and_velocity``; ``dissipation`` takes the velocity
+of ``energy_and_velocity``.  No other module calls them.  Both names stay:
 ``bench/spans.py`` wraps each of them in the traced benchmark pass, which
 would fail without them.
 """
@@ -107,28 +108,40 @@ def _moment_order(q):
     return q / 2.0 - 0.1
 
 
+def _energy_from(X, profile, exps, rep, quad):
+    """E at X from the repulsion rep that the state's nodes feel.
+
+    The pair sum R = sum_{i<j} |x_j - x_i|^{q_r} is translation invariant
+    and homogeneous of degree q_r, with gradient n rep, so for any pivot c
+    Euler's identity sum_i (x_i - c) d_i R = q_r R gives
+    E = mean(psi_a * omega)(x) - (x - c) . rep / (n q_r).  Far from the
+    origin every x_i lies within a factor of 2 of c = x[n // 2], so x - c is
+    exact and the term rounds with the state's spread, not with |x|.
+    """
+    x = X.x_values
+    attr = float(np.mean(_datum_conv(profile, exps.q_a, x, quad)))
+    pairs = float((x - x[x.size // 2]) @ rep) / (X.n * exps.q_r)
+    return attr - pairs
+
+
 def energy_and_velocity(X, profile, exps, quad=None):
     """Energy E and velocity V = rep - U(x) at X, from one repulsion sum.
 
-    rep and V are ``dynamics._velocity``'s.  The pair sum
-    R = sum_{i<j} |x_j - x_i|^{q_r} is translation invariant and homogeneous
-    of degree q_r, with gradient n rep, so for any pivot c Euler's identity
-    sum_i (x_i - c) d_i R = q_r R gives E = mean(psi_a * omega)(x)
-    - (x - c) . rep / (n q_r).  Far from the origin every x_i lies within a
-    factor of 2 of c = x[n // 2], so x - c is exact and the term rounds with
-    the state's spread, not with |x|.  Exact datum terms unless ``quad``.
+    rep and V are ``dynamics._velocity``'s, and E is ``_energy_from`` rep.
+    Exact datum terms unless ``quad``.
     """
-    x = X.x_values
     pot = AttractionPotential(profile, exps.q_a, quad)
-    rep, v = dynamics._velocity(x, X.z_grid, pot, exps.q_r)
-    attr = float(np.mean(_datum_conv(profile, exps.q_a, x, quad)))
-    pairs = float((x - x[x.size // 2]) @ rep) / (X.n * exps.q_r)
-    return attr - pairs, v
+    rep, v = dynamics._velocity(X.x_values, X.z_grid, pot, exps.q_r)
+    return _energy_from(X, profile, exps, rep, quad), v
 
 
 def energy(X, profile, exps, quad=None):
-    """Interaction energy; the datum term is exact unless ``quad`` is given."""
-    return energy_and_velocity(X, profile, exps, quad)[0]
+    """Interaction energy, bit for bit ``energy_and_velocity``'s, without U.
+
+    The datum term is exact unless ``quad`` is given.
+    """
+    rep = dynamics.repulsion_term(X.x_values, X.z_grid, exps.q_r)
+    return _energy_from(X, profile, exps, rep, quad)
 
 
 def dissipation(X, profile, exps):

@@ -11,7 +11,8 @@ the latter with omega's spread from ``_moments``, as on the Fourier side.
 
 Only the repulsion sums over pairs of nodes, each pair once on the sorted
 state (``_half_triangle``); the energy takes its pair term from it.  Every
-dense sum runs in row blocks of at most ``_BLOCK_ELEMS`` elements, built with
+dense sum runs in row blocks of at most ``_BLOCK_ELEMS`` elements, and a sum
+over pairs in blocks of at most ``_TRIANGLE_ROWS`` rows, built with
 ``out=`` ufunc chains in one scratch buffer per call (``_scratch_blocks``), so
 memory stays flat as n grows and no block faults in fresh pages.  Each block
 of differences is a rank-2 BLAS product (``_differences``), bit for bit the
@@ -40,6 +41,9 @@ __all__ = [
 # Largest temporary, in array elements, that a blocked sum builds at once
 # (512 KB of float64).
 _BLOCK_ELEMS = 2**16
+# Most rows in a block of a sum over pairs i < j: the entries j <= i of a
+# block's own square are computed and dropped, r(r + 1)/2 of them per block.
+_TRIANGLE_ROWS = 64
 
 
 def _scratch_blocks(rows, cols, upper=False, temps=1):
@@ -48,11 +52,14 @@ def _scratch_blocks(rows, cols, upper=False, temps=1):
     Yields ``(block, view_1, ..., view_temps)``.  Each view is a
     C-contiguous (len(block), cols) window of one buffer allocated for this
     call, or (len(block), cols - block.start) with ``upper``: the columns
-    j >= block.start of a sum over pairs i < j.  The first block is the
-    largest, so the buffer never grows, and blocks built in the views with
-    ``out=`` fault in no fresh pages.
+    j >= block.start of a sum over pairs i < j, in blocks of at most
+    ``_TRIANGLE_ROWS`` rows, so that little of each block's own square is
+    wasted.  The first block is the largest, so the buffer never grows, and
+    blocks built in the views with ``out=`` fault in no fresh pages.
     """
     step = max(1, _BLOCK_ELEMS // max(cols, 1))
+    if upper:
+        step = min(step, _TRIANGLE_ROWS)
     buf = None
     for start in range(0, rows, step):
         block = slice(start, min(start + step, rows))

@@ -6,16 +6,18 @@ particle at each node X(z_i).  Its (scaled) gradient coincides with the
 continuum right-hand side, so these routines re-derive the dynamics
 independently rather than re-simulating them.
 
-They sum full rows, both i < j and j < i, with the per-element formulas
-|d|^q and q sgn(d) |d|^{q-1}: no sorting and no closed forms, so they share
-no summation code with the pair sums in ``kernels``.  They share only the
-differences p_i - y_j (``kernels._differences``, bit for bit the broadcast
-subtraction), and keep ``np.power`` and ``np.sum`` where the kernels use
-exp(p ln d) and BLAS sums, so the two power evaluations stay independent.
-The datum term is exact: each piece integrates the formula through its
-primitive, about the piece's centre, where the kernels take it from its far
-end with exp(p ln d).  The rows are tiled by ``kernels._scratch_blocks``, so
-memory stays under the kernels' cap.
+They take each pair of particles once (``_pair_rows``), with the
+per-element formulas |d|^q and q sgn(d) |d|^{q-1} on the difference
+p_i - p_j, adding it to row i and, by the formula's parity, to row j: no
+sorting and no closed forms, so they share no summation code with the pair
+sums in ``kernels``.  They share only the differences p_i - y_j
+(``kernels._differences``, bit for bit the broadcast subtraction) and the
+blocks of ``kernels._scratch_blocks``, and keep ``np.power`` and ``np.sum``
+where the kernels use exp(p ln d) and BLAS sums, so the two power
+evaluations stay independent.  The datum term is exact: each piece
+integrates the formula through its primitive, about the piece's centre,
+where the kernels take it from its far end with exp(p ln d).  Both sums run
+in those row blocks, so memory stays under the kernels' cap.
 """
 
 from __future__ import annotations
@@ -33,9 +35,32 @@ def _row_sums(p, y, weights, q, kernel):
     out = np.empty(p.size)
     for rows, d, *tmp in _scratch_blocks(p.size, y.size, temps=4):
         kernel(q, write(rows, d), *tmp)
-        if weights is not None:
-            np.multiply(weights, d, out=d)
+        np.multiply(weights, d, out=d)
         np.sum(d, axis=1, out=out[rows])
+    return out
+
+
+def _pair_rows(p, q, kernel, odd):
+    """sum_{j != i} kernel(q, p_i - p_j) for every i, each pair taken once.
+
+    A block holds the pairs j >= i of its rows; the entries j <= i of its
+    own square are zeroed after the kernel.  Its row sums go to the rows i
+    and its column sums to the rows j, with the sign of kernel(q, p_j - p_i)
+    = -kernel(q, p_i - p_j) if ``odd``.  The kernel takes |d| and sgn(d) from
+    the difference, so p need not be sorted.
+    """
+    write = _differences(p, p)
+    out = np.zeros(p.size)
+    cols = np.subtract if odd else np.add
+    tri = None
+    for rows, d, mag in _scratch_blocks(p.size, p.size, upper=True, temps=2):
+        kernel(q, write(rows, d, rows.start), mag)
+        r = rows.stop - rows.start
+        if tri is None:  # the first block is the largest
+            tri = np.tri(r, dtype=bool)
+        np.copyto(d[:, :r], 0.0, where=tri[:r, :r])
+        out[rows] += np.sum(d, axis=1)
+        cols(out[rows.start:], np.sum(d, axis=0), out=out[rows.start:])
     return out
 
 
@@ -96,7 +121,7 @@ def discrete_energy(X, profile, exps):
     The particles p_i are the nodes of the state X.
     """
     p = X.x_values
-    rep = np.sum(_row_sums(p, p, None, exps.q_r, _psi))
+    rep = np.sum(_pair_rows(p, exps.q_r, _psi, False))
     attr = np.sum(_datum_sums(p, profile, exps.q_a, _psi, True))
     return float(-rep / (2.0 * X.n * X.n) + attr / X.n)
 
@@ -110,6 +135,6 @@ def particle_rhs(X, profile, exps):
     if exps.q_r == 1.0:
         raise ValueError("particle flow undefined for q_r = 1 (set-valued gradient)")
     p = X.x_values
-    rep = _row_sums(p, p, None, exps.q_r, _psi_prime) / X.n
+    rep = _pair_rows(p, exps.q_r, _psi_prime, True) / X.n
     attr = _datum_sums(p, profile, exps.q_a, _psi_prime, False)
     return rep - attr

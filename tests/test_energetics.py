@@ -18,6 +18,7 @@ from arflow import (
     energy_and_velocity,
     energy_balance,
     fourier_energy,
+    kernels,
     moment_certificate,
     sample_profile,
     simulate,
@@ -574,3 +575,20 @@ class TestEnergyAndVelocity:
         X = sample_profile(gap_profile, 97)
         make_report(0.0, X, gap_profile, Exponents(1.8, 1.4))
         assert pair_passes == [pytest.approx(0.4)]
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "quad"])
+    @pytest.mark.parametrize("q_a,q_r", [(1.8, 1.4), (1.5, 1.0), (2.0, 2.0)])
+    def test_energy_bit_for_bit(self, gap_profile, monkeypatch, exact, q_a,
+                                q_r):
+        # one formula for E; energy takes no drift, so none is built
+        X = sample_profile(gap_profile, 97)
+        exps = Exponents(q_a, q_r)
+        quad = None if exact else MassQuadrature.midpoint(gap_profile, 61)
+        ref = energy_and_velocity(X, gap_profile, exps, quad)[0]
+
+        def no_drift(*args):
+            raise AssertionError("energy evaluated the drift")
+
+        monkeypatch.setattr(kernels, "attraction_U", no_drift)
+        assert np.float64(energy(X, gap_profile, exps, quad)).tobytes() \
+            == np.float64(ref).tobytes()

@@ -88,6 +88,27 @@ def test_particle_oracle_gathers_nothing():
     assert calls == [], f"nonzero called at lines {calls}"
 
 
+def test_particle_oracle_shares_only_the_differences_and_blocks():
+    # no pair sum, power or datum formula of the kernels: the oracle check
+    # compares two independent evaluations
+    imported = {(node.module, alias.name) for node in particles_tree().body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    kernels = {name for module, name in imported if module == "kernels"}
+    assert kernels == {"_differences", "_scratch_blocks"}
+
+
+def test_oracle_check_calls_the_particle_functions_by_name():
+    # the traced benchmark pass rebinds cli.particle_rhs and
+    # cli.discrete_energy, so each state's call reads those names
+    func = top_function("cli", "cmd_oracle_check")
+    for name in ("particle_rhs", "discrete_energy"):
+        calls = [node.lineno for node in ast.walk(func)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == name]
+        assert len(calls) == 1, f"{name} called at lines {calls}"
+
+
 def quad_node_reads(path):
     """Enclosing function of each ``quad.nodes`` or ``obj.quad.nodes`` read."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -276,12 +297,16 @@ def test_cli_fits_rates_without_least_squares_solver():
 
 def test_velocity_has_one_formula():
     # V = rep - U(x) is formed in dynamics._velocity only, which the RK4
-    # stages, the energy reports and the stationarity residual take
+    # stages, the energy reports and the stationarity residual take;
+    # energetics.energy takes rep alone, for its pair term, and no drift
     callers = {(path.stem, func.name) for path in MODULES
                for func in ast.walk(ast.parse(path.read_text()))
                if isinstance(func, ast.FunctionDef)
                and call_lines(func, "repulsion_term")}
-    assert callers == {("dynamics", "_velocity")}
+    assert callers == {("dynamics", "_velocity"), ("energetics", "energy")}
+    func = top_function("energetics", "energy")
+    for name in ("AttractionPotential", "attraction_U", "_velocity"):
+        assert named_lines(func, name) == [], f"energy names {name}"
 
 
 @pytest.mark.parametrize("module", ["dynamics", "__init__"])

@@ -19,8 +19,8 @@ from arflow import (
 )
 from arflow.dynamics import repulsion_direct
 from arflow.energetics import self_energy_constant
-from arflow.kernels import _BLOCK_ELEMS, _datum_conv, _datum_sum, \
-    _differences, _half_triangle, _pieces, _pow, _scratch_blocks
+from arflow.kernels import _BLOCK_ELEMS, _TRIANGLE_ROWS, _datum_conv, \
+    _datum_sum, _differences, _half_triangle, _pieces, _pow, _scratch_blocks
 from conftest import NARROW_DATUMS, SPREAD_DATUMS, decimal_datum_sums, \
     decimal_datum_terms, decimal_inside_terms, psi, psi_double_prime, \
     psi_prime
@@ -356,6 +356,26 @@ class TestMemoryCap:
             finally:
                 tracemalloc.stop()
             assert peak < 64 * 2**20, (name, peak)
+
+
+class TestScratchBlocks:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 400, 1000])
+    def test_upper_blocks(self, n):
+        covered = np.zeros((n, n), dtype=int)
+        first = None
+        for rows, d, e in _scratch_blocks(n, n, upper=True, temps=2):
+            r = rows.stop - rows.start
+            assert 0 < r <= _TRIANGLE_ROWS
+            assert d.shape == e.shape == (r, n - rows.start)
+            assert not np.shares_memory(d, e)
+            # the first block is the largest, so the buffer never grows
+            first = first or d.size
+            assert d.size <= first
+            covered[rows, rows.start:] += 1
+        # every pair j >= i exactly once; a pair j < i only in the own
+        # square of its rows' block, where the consumer drops it
+        assert np.all(covered[np.triu_indices(n)] == 1)
+        assert covered.max() == 1
 
 
 class TestDifferences:

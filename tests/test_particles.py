@@ -13,8 +13,8 @@ from arflow import (
     energy_and_velocity,
     particle_rhs,
 )
-from arflow.kernels import _datum_conv
-from arflow.particles import _psi, _psi_prime, _row_sums
+from arflow.kernels import _TRIANGLE_ROWS, _datum_conv
+from arflow.particles import _pair_rows, _psi, _psi_prime, _row_sums
 from conftest import NARROW_DATUMS, decimal_datum_terms, decimal_inside_terms
 
 
@@ -95,24 +95,34 @@ class TestExactOracle:
 class TestBlockedOracle:
     @pytest.mark.parametrize("q_a, q_r", [(1.3, 1.3), (2.0, 1.3), (2.0, 2.0)])
     def test_matches_literal_dense(self, rng, q_a, q_r):
-        # N = 1000 is not a multiple of the 65 rows per block
+        # N = 1000 is a multiple neither of the 65 rows per block of the
+        # datum sums nor of the row cap of the pair blocks
         n = 1000
+        assert n % _TRIANGLE_ROWS != 0
         p = np.sort(rng.uniform(-1.0, 4.0, n))
         p[10:13] = p[10]  # coincident particles: sgn(0) = 0
         # a weighted sum, as each datum piece is weighted by its density
         y = np.sort(rng.uniform(0.0, 3.0, 300))
         w = rng.uniform(0.5, 1.5, y.size)
-        for ys, ws, q in ((p, None, q_r), (y, w, q_a)):
-            d = p[:, None] - ys
-            rows = {
-                _psi: np.abs(d) ** q,
-                _psi_prime: q * np.sign(d) * np.abs(d) ** (q - 1.0),
-            }
-            for kernel, dense in rows.items():
-                if ws is not None:
-                    dense = ws * dense
-                got = _row_sums(p, ys, ws, q, kernel)
-                assert got.tobytes() == np.sum(dense, axis=1).tobytes()
+        for kernel, dense in self.dense_rows(p[:, None] - y, q_a).items():
+            got = _row_sums(p, y, w, q_a, kernel)
+            assert got.tobytes() == np.sum(w * dense, axis=1).tobytes()
+        # the self pairs: each pair is summed once, into its row and its
+        # column, so the order of the sum differs from a full row's by
+        # design.  Any order of n terms is within n eps sum |term| of the
+        # exact sum, so two orders are within 2 n eps sum |term|.
+        p = p[rng.permutation(n)]  # the oracle assumes no sorting
+        for kernel, dense in self.dense_rows(p[:, None] - p, q_r).items():
+            got = _pair_rows(p, q_r, kernel, kernel is _psi_prime)
+            bound = 2 * n * np.finfo(float).eps * np.sum(np.abs(dense), axis=1)
+            assert np.all(np.abs(got - np.sum(dense, axis=1)) <= bound)
+
+    @staticmethod
+    def dense_rows(d, q):
+        return {
+            _psi: np.abs(d) ** q,
+            _psi_prime: q * np.sign(d) * np.abs(d) ** (q - 1.0),
+        }
 
 
 class TestParticleFlow:
