@@ -158,15 +158,17 @@ def fit_exponential_rate(t, y, t_lo, t_hi, floor=1e-300):
     return s_tl / s_tt, r2
 
 
-def _rate_fit(cfg, name, t, y, scale):
+def _rate_fit(cfg, name, t, y, scale, reference_error=0.0):
     """``rate_<name>``, ``r2_<name>`` and ``fit_<name>`` of an error y(t) of
     size ``scale``, as ``summary.json`` entries.
 
-    Samples at or below the roundoff floor 64 eps max(1, scale) are
-    dropped.  The default window is the later half of the samples above
-    it; ``t_fit_lo`` and ``t_fit_hi`` each replace their end of it.
+    Samples at or below the floor are dropped: the roundoff floor
+    64 eps max(1, scale), or the error of the reference that y is measured
+    to, if larger.  The default window is the later half of the samples
+    above it; ``t_fit_lo`` and ``t_fit_hi`` each replace their end of it.
     """
-    floor = float(64 * np.finfo(float).eps * max(1.0, scale))
+    floor = max(float(64 * np.finfo(float).eps * max(1.0, scale)),
+                reference_error)
     above = t[y > floor]
     t_lo, t_hi, kept = cfg.t_fit_lo, cfg.t_fit_hi, 0
     if above.size:
@@ -223,8 +225,11 @@ def cmd_simulate(config, out):
         summary.update(
             final_w2_to_steady=float(w2[-1]),
             w2_nonincreasing=bool(np.all(np.diff(w2) <= 1e-10)),
+            # X* from the bisection (1 < q_a < 2) is only good to its
+            # bracket width, where the W2 series levels off
             **_rate_fit(cfg, "w2", traj.times, w2,
-                        float(np.max(np.abs(ss.Xstar.x_values)))),
+                        float(np.max(np.abs(ss.Xstar.x_values))),
+                        steady._TOL if 1.0 < cfg.exps.q_a < 2.0 else 0.0),
         )
     files = [f"snapshot_{i:04d}.csv" for i in range(len(traj.states))]
     docs = {

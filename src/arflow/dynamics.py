@@ -80,7 +80,6 @@ class IntegratorConfig:
 class Trajectory:
     states: list
     slope_certificate: float  # running min of min_slope(t) e^{lambda t} / alpha
-    lam: float
 
     @property
     def times(self):
@@ -183,7 +182,7 @@ def simulate(X0, profile, exps, cfg):
             states.append(state)
             cert = min(cert, _slope_ratio(state.min_slope, alpha,
                                           pot.lam * state.t))
-    return Trajectory(states, cert, pot.lam)
+    return Trajectory(states, cert)
 
 
 def closed_form_q2(X0, profile, t):

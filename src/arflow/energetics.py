@@ -81,11 +81,8 @@ class XiGrid:
 
     xi_min = 1e-4
     xi_max = 1e3
-
-    @property
-    def nodes_per_side(self):
-        """xi nodes per side at which the character sums run, check rule's too."""
-        return _XI_PANELS * (_XI_ORDER + _XI_CHECK_ORDER)
+    # xi nodes per side at which the character sums run, check rule's too
+    nodes_per_side = _XI_PANELS * (_XI_ORDER + _XI_CHECK_ORDER)
 
 
 @dataclass(frozen=True)

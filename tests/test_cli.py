@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from arflow import InverseCDF, cli, energetics, kernels, measures, \
-    uniform_state
+    steady, uniform_state
 from conftest import SPREAD_DATUMS
 
 SRC = str(Path(cli.__file__).resolve().parent.parent)
@@ -99,6 +99,40 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["w2_nonincreasing"] is True
         assert summary["final_w2_to_steady"] < 1e-3
+        # X* is affine at q_a = 2: only roundoff floors the fit
+        assert summary["fit_w2"]["floor"] == 64 * np.finfo(float).eps
+
+    def test_w2_rate_above_bisection_error(self, tmp_path):
+        # X* from the bisection is good to its bracket width, 1e-12: W2
+        # levels off at 2.5e-13 from t = 19 on, which the default window
+        # [20, 40] would fit as a rate of -3.7e-6 with R^2 0.20
+        write_profile(tmp_path, [0.0, 0.5, 1.0], [1.0, 1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 1.5, "q_r": 1.0, "n": 64,
+            "dt": 0.01, "t_end": 40.0, "record_every": 100,
+            "initial": {"kind": "uniform", "a": -0.3, "b": 0.9},
+        })
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["fit_w2"]["floor"] == steady._TOL
+        assert summary["final_w2_to_steady"] < steady._TOL
+        assert summary["rate_w2"] == pytest.approx(-1.65, rel=0.05)
+        assert summary["r2_w2"] >= 0.999
+
+    def test_two_samples_in_window_give_a_rate(self, tmp_path, q2_m2_config):
+        # the window [0.95, 1.15] holds the samples at t = 1 and 1.1, both
+        # far above the floor: two samples fix a line
+        doc = json.loads(q2_m2_config.read_text())
+        cfg = write_config(tmp_path, {**doc, "t_fit_lo": 0.95,
+                                      "t_fit_hi": 1.15})
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["fit_com"]["samples"] == 2
+        assert summary["rate_com"] == pytest.approx(-4.0, rel=0.01)
 
     @pytest.mark.parametrize("c", [0.0, 1e6])
     def test_rate_fit_skips_roundoff_floor(self, tmp_path, c):
@@ -565,6 +599,8 @@ class TestOracleCheck:
             tmp_path / "profile.json").com()
         assert seven.shape == (len(cli.ORACLE_PAIRS) * cli.ORACLE_CASES, 32)
         assert np.all((seven >= com - 2.0) & (seven < com + 3.0))
+        # and they fill it: 1600 uniform draws span most of its width 5
+        assert np.ptp(seven) > 4.0
         assert not np.array_equal(seven, draws(-7))
         assert np.array_equal(seven, draws(7))
 
@@ -656,6 +692,9 @@ class TestEnergyAudit:
         doc = json.loads((out / "balance.json").read_text())
         assert doc["defect"] <= 1e-6
         assert_audit_is_the_runs(out)
+        # the printed drop is from the first to the last snapshot
+        drop = doc["E_initial"] - doc["E_final"]
+        assert f"(E drop {drop:.6e})" in capsys.readouterr().out
 
     def test_audit_defect_is_the_runs(self, tmp_path):
         # the audit recomputes the run's reports from its snapshots, bit

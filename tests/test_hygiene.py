@@ -74,7 +74,7 @@ def particles_tree():
     return ast.parse((ROOT / "src" / "arflow" / "particles.py").read_text())
 
 
-@pytest.mark.parametrize("name", ["_psi", "_psi_prime", "_datum_sums"])
+@pytest.mark.parametrize("name", ["_pair_rows", "_datum_sums"])
 def test_particle_oracle_keeps_np_power(name):
     funcs = {node.name: node for node in particles_tree().body
              if isinstance(node, ast.FunctionDef)}
@@ -334,3 +334,27 @@ def test_piece_moments_live_in_kernels():
              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
              and getattr(node.right, "value", None) == 3]
     assert named_lines(conv, "breakpoints") == [] and cubes == []
+
+
+def unread_parameters(path):
+    """``function.parameter`` for each named parameter of a function in
+    ``path`` that no expression in the function's body reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = func.args
+            read = {node.id for stmt in func.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            unread += [f"{func.name}.{arg.arg} (line {func.lineno})"
+                       for arg in args.posonlyargs + args.args
+                       + args.kwonlyargs if arg.arg not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_parameter_is_read(path):
+    # no flag or argument that a function takes and ignores
+    assert unread_parameters(path) == [], f"unread parameters in {path.name}"

@@ -13,8 +13,9 @@ from arflow import (
     energy_and_velocity,
     particle_rhs,
 )
+from arflow import kernels
 from arflow.kernels import _TRIANGLE_ROWS, _datum_conv
-from arflow.particles import _pair_rows, _psi, _psi_prime, _row_sums
+from arflow.particles import _datum_sums, _pair_rows
 from conftest import NARROW_DATUMS, decimal_datum_terms, decimal_inside_terms
 
 
@@ -94,35 +95,37 @@ class TestExactOracle:
 
 class TestBlockedOracle:
     @pytest.mark.parametrize("q_a, q_r", [(1.3, 1.3), (2.0, 1.3), (2.0, 2.0)])
-    def test_matches_literal_dense(self, rng, q_a, q_r):
-        # N = 1000 is a multiple neither of the 65 rows per block of the
-        # datum sums nor of the row cap of the pair blocks
+    def test_matches_literal_dense(self, rng, monkeypatch, q_a, q_r):
+        # N = 1000 is a multiple neither of the 218 rows per block of the
+        # 300-piece datum sums nor of the row cap of the pair blocks
         n = 1000
         assert n % _TRIANGLE_ROWS != 0
         p = np.sort(rng.uniform(-1.0, 4.0, n))
         p[10:13] = p[10]  # coincident particles: sgn(0) = 0
-        # a weighted sum, as each datum piece is weighted by its density
-        y = np.sort(rng.uniform(0.0, 3.0, 300))
-        w = rng.uniform(0.5, 1.5, y.size)
-        for kernel, dense in self.dense_rows(p[:, None] - y, q_a).items():
-            got = _row_sums(p, y, w, q_a, kernel)
-            assert got.tobytes() == np.sum(w * dense, axis=1).tobytes()
+        breaks = np.cumsum(np.r_[0.0, rng.uniform(0.005, 0.015, 300)])
+        densities = rng.uniform(0.5, 1.5, 300)
+        densities[7] = 0.0  # an empty piece
+        prof = ReferenceProfile(breaks, densities)
+        assert n % (kernels._BLOCK_ELEMS // 300) != 0
+        blocked = [_datum_sums(p, prof, q_a, odd) for odd in (False, True)]
+        # each row of the datum sums is its own: one block gives the same
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_BLOCK_ELEMS", n * 300)
+            for odd, got in zip((False, True), blocked):
+                one = _datum_sums(p, prof, q_a, odd)
+                assert got.tobytes() == one.tobytes()
         # the self pairs: each pair is summed once, into its row and its
         # column, so the order of the sum differs from a full row's by
         # design.  Any order of n terms is within n eps sum |term| of the
         # exact sum, so two orders are within 2 n eps sum |term|.
         p = p[rng.permutation(n)]  # the oracle assumes no sorting
-        for kernel, dense in self.dense_rows(p[:, None] - p, q_r).items():
-            got = _pair_rows(p, q_r, kernel, kernel is _psi_prime)
-            bound = 2 * n * np.finfo(float).eps * np.sum(np.abs(dense), axis=1)
-            assert np.all(np.abs(got - np.sum(dense, axis=1)) <= bound)
-
-    @staticmethod
-    def dense_rows(d, q):
-        return {
-            _psi: np.abs(d) ** q,
-            _psi_prime: q * np.sign(d) * np.abs(d) ** (q - 1.0),
-        }
+        d = p[:, None] - p
+        dense = {False: np.abs(d) ** q_r,
+                 True: q_r * np.sign(d) * np.abs(d) ** (q_r - 1.0)}
+        for odd, terms in dense.items():
+            got = _pair_rows(p, q_r, odd)
+            bound = 2 * n * np.finfo(float).eps * np.sum(np.abs(terms), axis=1)
+            assert np.all(np.abs(got - np.sum(terms, axis=1)) <= bound)
 
 
 class TestParticleFlow:
