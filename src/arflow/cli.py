@@ -234,7 +234,7 @@ def cmd_simulate(config, out):
     files = [f"snapshot_{i:04d}.csv" for i in range(len(traj.states))]
     docs = {
         "index.json": {"times": [s.t for s in traj.states], "files": files,
-                       "min_slope": [s.min_slope for s in traj.states]},
+                       "min_slope": [s.X.min_slope() for s in traj.states]},
         "config.json": {**cfg.doc, "profile_inline": cfg.profile.to_doc()},
         "summary.json": summary,
     }

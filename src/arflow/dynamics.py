@@ -36,11 +36,6 @@ class MonotonicityError(RuntimeError):
 class FlowState:
     t: float
     X: InverseCDF
-    min_slope: float
-
-    @classmethod
-    def initial(cls, X):
-        return cls(0.0, X, X.min_slope())
 
 
 @dataclass(frozen=True)
@@ -148,8 +143,7 @@ def step(state, cfg, pot, q_r):
             f"monotonicity lost at t={state.t + cfg.dt:.6g}; "
             f"try dt <= {cfg.dt / 2:.3e} or a finer grid"
         )
-    X_new = InverseCDF(x_new)
-    return FlowState(state.t + cfg.dt, X_new, X_new.min_slope())
+    return FlowState(state.t + cfg.dt, InverseCDF(x_new))
 
 
 def _slope_ratio(min_slope, alpha, growth):
@@ -167,8 +161,8 @@ def simulate(X0, profile, exps, cfg):
     The drift is exact for the piecewise-constant datum.  A tied X0 or a
     dt that breaks the step-size guard raises ValueError before any step.
     """
-    state = FlowState.initial(X0)
-    alpha = state.min_slope
+    state = FlowState(0.0, X0)
+    alpha = X0.min_slope()
     if alpha <= 0:
         raise ValueError("initial state must have strictly positive min slope")
     pot = AttractionPotential(profile, exps.q_a)
@@ -180,7 +174,7 @@ def simulate(X0, profile, exps, cfg):
         state = step(state, cfg, pot, exps.q_r)
         if k % cfg.record_every == 0 or k == n_steps:
             states.append(state)
-            cert = min(cert, _slope_ratio(state.min_slope, alpha,
+            cert = min(cert, _slope_ratio(state.X.min_slope(), alpha,
                                           pot.lam * state.t))
     return Trajectory(states, cert)
 

@@ -13,13 +13,15 @@ Only the repulsion sums over pairs of nodes, each pair once on the sorted
 state (``_half_triangle``); the energy takes its pair term from it.  Every
 dense sum runs in row blocks of at most ``_BLOCK_ELEMS`` elements, and a sum
 over pairs in blocks of at most ``_TRIANGLE_ROWS`` rows, built with
-``out=`` ufunc chains in one scratch buffer per call (``_scratch_blocks``), so
-memory stays flat as n grows and no block faults in fresh pages.  Each block
-of differences is a rank-2 BLAS product (``_differences``), bit for bit the
-broadcast subtraction, and each power is exp(p ln d) (``_pow``), not
-``np.power``.  The particle oracle keeps ``np.power`` and takes each piece
-about its centre, not from its far end, so the oracle check compares two
-different formulas and two independent power evaluations.
+``out=`` ufunc chains in one scratch buffer per call, so memory stays flat
+as n grows and no block faults in fresh pages.  One generator
+(``_scratch_blocks``) lays out every block: it writes the block's
+differences as a rank-2 BLAS product, bit for bit the broadcast
+subtraction, and masks a pair block's own square.  Each power is
+exp(p ln d) (``_pow``), not ``np.power``.  The particle oracle keeps
+``np.power`` and takes each piece about its centre, not from its far end,
+so the oracle check compares two different formulas and two independent
+power evaluations.
 """
 
 from __future__ import annotations
@@ -46,51 +48,48 @@ _BLOCK_ELEMS = 2**16
 _TRIANGLE_ROWS = 64
 
 
-def _scratch_blocks(rows, cols, upper=False, temps=1):
-    """Row blocks of range(rows) under the memory cap, with scratch views.
+def _scratch_blocks(a, b, temps=1, pairs=False):
+    """Row blocks of the differences a_i - b_j under the memory cap.
 
-    Yields ``(block, view_1, ..., view_temps)``.  Each view is a
-    C-contiguous (len(block), cols) window of one buffer allocated for this
-    call, or (len(block), cols - block.start) with ``upper``: the columns
-    j >= block.start of a sum over pairs i < j, in blocks of at most
-    ``_TRIANGLE_ROWS`` rows, so that little of each block's own square is
-    wasted.  The first block is the largest, so the buffer never grows, and
-    blocks built in the views with ``out=`` fault in no fresh pages.
+    Yields ``(block, d, view_2, ..., view_temps)``.  Each view is a
+    C-contiguous (len(block), len(b)) window of one buffer allocated for
+    this call, and d holds a[block, None] - b as the rank-2 BLAS product
+    [a_i, 1] [1; -b_j].  Products by 1 are exact and BLAS rounds the sum of
+    the two once, so each entry equals the subtraction a_i - b_j, except
+    that a zero difference is always +0.0; at these shapes this is several
+    times faster than the broadcast subtraction.  Given sizes for a and b,
+    as a sum of products does, every view is left as scratch.
+
+    With ``pairs`` (b = a, for a sum over pairs i < j) each view holds the
+    columns j >= block.start, in blocks of at most ``_TRIANGLE_ROWS`` rows,
+    so that little of each block's own square is wasted, and the block
+    comes with ``own``, the mask of the entries j <= i of that square:
+    ``(block, own, d, ...)``.  The first block is the largest, so the
+    buffer never grows, and blocks built in the views with ``out=`` fault
+    in no fresh pages.
     """
+    sizes = np.ndim(a) == 0
+    rows, cols = (a, b) if sizes else (a.size, b.size)
     step = max(1, _BLOCK_ELEMS // max(cols, 1))
-    if upper:
+    if pairs:
         step = min(step, _TRIANGLE_ROWS)
+    if not sizes:  # the two factors, in O(len(a) + len(b)) memory
+        left = np.ones((rows, 2))
+        left[:, 0] = a
+        right = np.ones((2, cols))
+        np.negative(b, out=right[1])
     buf = None
     for start in range(0, rows, step):
         block = slice(start, min(start + step, rows))
-        shape = (block.stop - start, cols - start if upper else cols)
-        size = shape[0] * shape[1]
+        r, c = block.stop - start, cols - start if pairs else cols
         if buf is None:
-            buf = np.empty(temps * size)
-        yield (block, *(buf[k * size:(k + 1) * size].reshape(shape)
-                        for k in range(temps)))
-
-
-def _differences(a, b):
-    """Writer of the blocks a[rows, None] - b[start:], bit for bit, by BLAS.
-
-    Returns ``write(rows, out, start=0)``, which sets ``out`` to the rank-2
-    product [a_i, 1] [1; -b_j].  Products by 1 are exact and BLAS rounds the
-    sum of the two once, so each entry equals the subtraction a_i - b_j,
-    except that a zero difference is always +0.0.  For the block shapes the
-    sums build this is several times faster than the broadcast subtraction,
-    whose loop order numpy picks badly.  The two factors are built once per
-    call, in O(len(a) + len(b)) memory.
-    """
-    left = np.ones((a.size, 2))
-    left[:, 0] = a
-    right = np.ones((2, b.size))
-    np.negative(b, out=right[1])
-
-    def write(rows, out, start=0):
-        return np.matmul(left[rows], right[:, start:], out=out)
-
-    return write
+            buf = np.empty(temps * r * c)
+            tri = np.tri(r, dtype=bool) if pairs else None
+        views = [buf[k * r * c:(k + 1) * r * c].reshape(r, c)
+                 for k in range(temps)]
+        if not sizes:
+            np.matmul(left[block], right[:, cols - c:], out=views[0])
+        yield (block, tri[:r, :r], *views) if pairs else (block, *views)
 
 
 def _pow(d, p):
@@ -120,21 +119,16 @@ def _half_triangle(x, p):
     yields shares.  At p = 0 the term is sgn(x_j - x_i), so tied pairs give
     0, not 0**0.
     """
-    write = _differences(-x, -x)  # x_j - x_i = (-x_i) - (-x_j)
-    tri = None
     with np.errstate(divide="ignore"):
-        for rows, d in _scratch_blocks(x.size, x.size, upper=True):
-            write(rows, d, rows.start)
-            r = rows.stop - rows.start
-            if tri is None:  # the first block is the largest
-                tri = np.tri(r, dtype=bool)
-            own = tri[:r, :r]
+        # x_j - x_i = (-x_i) - (-x_j)
+        for rows, own, d in _scratch_blocks(-x, -x, pairs=True):
+            square = d[:, :len(own)]
             if p == 0.0:
                 np.sign(d, out=d)
             else:
-                np.copyto(d[:, :r], 1.0, where=own)
+                np.copyto(square, 1.0, where=own)
                 _pow(d, p)
-            np.copyto(d[:, :r], 0.0, where=own)
+            np.copyto(square, 0.0, where=own)
             yield rows, d
 
 
@@ -192,11 +186,9 @@ def _datum_sum(x, q, pieces, level):
     # the constant of K, or of P on a piece: q at order -1
     factor = q if order < 0 else 1.0 / math.prod(q + np.arange(1, order + 1))
     flat = np.ravel(x)
-    write = _differences(flat, a)
     out = np.empty(flat.size)
     with np.errstate(divide="ignore"):  # ln 0 at a point mass or piece end
-        for rows, d, f, u in _scratch_blocks(flat.size, a.size, temps=3):
-            write(rows, d)
+        for rows, d, f, u in _scratch_blocks(flat, a, temps=3):
             if w is None:  # sgn(d)^odd |d|^s
                 _pow(np.abs(d, out=f), s)
                 if odd:

@@ -11,21 +11,21 @@ energy, or q sgn(d) |d|^{q-1} for the gradient if ``odd``.  The pair sum
 (``_pair_rows``) takes each pair of particles once, adding the formula on
 p_i - p_j to row i and, by its parity, to row j: no sorting and no closed
 forms, so it shares no summation code with the pair sums in ``kernels``.
-The oracle shares only the differences p_i - y_j (``kernels._differences``,
-bit for bit the broadcast subtraction) and the blocks of
-``kernels._scratch_blocks``, and keeps ``np.power`` and ``np.sum`` where
-the kernels use exp(p ln d) and BLAS sums, so the two power evaluations
-stay independent.  The datum term is exact: each piece integrates the
-formula through its primitive, about the piece's centre, where the kernels
-take it from its far end with exp(p ln d).  Both sums run in those row
-blocks, so memory stays under the kernels' cap.
+The oracle shares only the blocks of ``kernels._scratch_blocks``: their
+differences p_i - y_j, bit for bit the broadcast subtraction, and a pair
+block's mask.  It keeps ``np.power`` and ``np.sum`` where the kernels use
+exp(p ln d) and BLAS sums, so the two power evaluations stay independent.
+The datum term is exact: each piece integrates the formula through its
+primitive, about the piece's centre, where the kernels take it from its far
+end with exp(p ln d).  Both sums run in those row blocks, so memory stays
+under the kernels' cap.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernels import _differences, _scratch_blocks
+from .kernels import _scratch_blocks
 
 __all__ = ["discrete_energy", "particle_rhs"]
 
@@ -40,12 +40,9 @@ def _pair_rows(p, q, odd):
     sorted: the odd formula is copysign(q |d|^{q-1}, d), where a zero
     difference is +0.0, not -0.0, and |0|^{q-1} = 0 for q > 1.
     """
-    write = _differences(p, p)
     out = np.zeros(p.size)
     cols = np.subtract if odd else np.add
-    tri = None
-    for rows, d, mag in _scratch_blocks(p.size, p.size, upper=True, temps=2):
-        write(rows, d, rows.start)
+    for rows, own, d, mag in _scratch_blocks(p, p, temps=2, pairs=True):
         if odd:
             np.abs(d, out=mag)
             np.power(mag, q - 1.0, out=mag)
@@ -53,10 +50,7 @@ def _pair_rows(p, q, odd):
             np.copysign(mag, d, out=d)
         else:
             np.power(np.abs(d, out=d), q, out=d)
-        r = rows.stop - rows.start
-        if tri is None:  # the first block is the largest
-            tri = np.tri(r, dtype=bool)
-        np.copyto(d[:, :r], 0.0, where=tri[:r, :r])
+        np.copyto(d[:, :len(own)], 0.0, where=own)
         out[rows] += np.sum(d, axis=1)
         cols(out[rows.start:], np.sum(d, axis=0), out=out[rows.start:])
     return out
@@ -75,11 +69,10 @@ def _datum_sums(p, profile, q, odd):
     inside it.  E(r) >= 0 >= E(-r), so nothing cancels.
     """
     w, s = np.diff(profile.breakpoints), (q if odd else q + 1.0)
-    write = _differences(p, profile.breakpoints[1:])
     out = np.empty(p.size)
     # in lengths 2c, 2M, 2h = w: h may round to 0
-    for rows, c, m, r, v in _scratch_blocks(p.size, w.size, temps=4):
-        write(rows, c)
+    for rows, c, m, r, v in _scratch_blocks(p, profile.breakpoints[1:],
+                                            temps=4):
         np.copyto(v, w)
         np.add(np.add(c, c, out=c), v, out=c)
         np.maximum(np.abs(c, out=m), v, out=m)

@@ -8,18 +8,6 @@ from arflow import ReferenceProfile, dynamics, kernels
 from arflow.kernels import _check_q
 
 
-def convolve_kernel(profile, quad, g, x):
-    """Quadrature of (g * omega)(x) = integral of g(x - Y(zeta)) over (0, m).
-
-    The tests' dense quadrature reference: one broadcast over the quantile
-    nodes, with no blocking and no primitives.
-    """
-    y = profile.quantile(quad.nodes)
-    x = np.asarray(x, dtype=float)
-    vals = np.sum(quad.weights * g(x[..., None] - y), axis=-1)
-    return vals if vals.ndim else float(vals)
-
-
 def psi(q, x):
     """|x|^q, the tests' dense kernel reference."""
     _check_q(q)
@@ -36,19 +24,6 @@ def psi_prime(q, x):
         out = np.sign(x)
     else:
         out = q * np.sign(x) * np.abs(x) ** (q - 1.0)
-    return out if out.ndim else float(out)
-
-
-def psi_double_prime(q, x):
-    """q(q-1)|x|^{q-2}; singular at 0 for q < 2."""
-    _check_q(q)
-    x = np.asarray(x, dtype=float)
-    if q < 2.0 and np.any(x == 0.0):
-        raise ValueError(f"second derivative of |x|^{q} undefined at 0")
-    if q == 2.0:
-        out = np.full_like(x, 2.0)
-    else:
-        out = q * (q - 1.0) * np.abs(x) ** (q - 2.0)
     return out if out.ndim else float(out)
 
 

@@ -102,6 +102,24 @@ class TestSimulate:
         # X* is affine at q_a = 2: only roundoff floors the fit
         assert summary["fit_w2"]["floor"] == 64 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("rise, verdict", [(1e-10, True), (2e-10, False)])
+    def test_w2_may_rise_by_roundoff(self, tmp_path, monkeypatch, rise,
+                                     verdict):
+        # W2 counts as nonincreasing while each step rises by at most 1e-10
+        write_profile(tmp_path, [0.0, 1.0], [1.0])
+        cfg = write_config(tmp_path, {
+            "profile": "profile.json", "q_a": 2.0, "q_r": 1.0, "n": 16,
+            "dt": 0.05, "t_end": 0.05,
+            "initial": {"kind": "uniform", "a": 1.0, "b": 2.0},
+        })
+        series = iter([0.0, rise])
+        monkeypatch.setattr(cli, "wasserstein", lambda *args: next(series))
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["w2_nonincreasing"] is verdict
+
     def test_w2_rate_above_bisection_error(self, tmp_path):
         # X* from the bisection is good to its bracket width, 1e-12: W2
         # levels off at 2.5e-13 from t = 19 on, which the default window

@@ -231,6 +231,51 @@ class TestFourierErrorBound:
             assert abs(a - b) <= 1e-9
 
 
+class TestXiHead:
+    """The head below xi_min, made to matter by a larger ``XiGrid.xi_min``.
+
+    Against a fine reference of the whole integral on [0, xi_max], the
+    error is the head's next order, which the bound holds to within a
+    factor 2: the tail beyond xi_max and the rule's own error are far
+    smaller here.  The head's remainder is tight where d1 d3 < 0, so a
+    remainder term taken too large shows as well as one taken too small.
+    """
+
+    DELTA = (np.zeros(1), None, np.ones(1))
+    PIECES = {  # unit mass in pieces (a, w, rho)
+        "d1 = 0": (np.array([-0.5]), np.array([1.0]), np.array([1.0])),
+        "d1 d3 < 0": (np.array([0.5, -3.5]), np.array([1.0, 1.0]),
+                      np.array([0.9, 0.1])),
+    }
+
+    @staticmethod
+    def reference(mu, nu, q):
+        """2 int |mu_hat - nu_hat|^2 xi^{-1-q} on [1e-100, xi_max], by
+        Gauss-Legendre on panels uniform in ln xi, finer above xi = 1."""
+        t, w = np.polynomial.legendre.leggauss(16)
+        total = 0.0
+        for lo, hi, panels in ((1e-100, 1.0, 300),
+                               (1.0, XiGrid.xi_max, 4000)):
+            edges = np.linspace(math.log(lo), math.log(hi), panels + 1)
+            half = 0.5 * (edges[1] - edges[0])
+            xi = np.exp(edges[:-1, None] + half * (1.0 + t)).ravel()
+            d = _char_fn(mu, xi) - _char_fn(nu, xi)
+            f = (d.real**2 + d.imag**2) * xi ** (-q)  # dxi = xi d(ln xi)
+            total += float(np.sum(half * np.tile(w, panels) * f))
+        return 2.0 * total
+
+    @pytest.mark.parametrize("name, xi_min",
+                             [("d1 = 0", 0.2), ("d1 d3 < 0", 0.1)])
+    def test_remainder_bounds_the_head_tightly(self, monkeypatch, name,
+                                               xi_min):
+        q = 1.8
+        monkeypatch.setattr(XiGrid, "xi_min", xi_min)
+        value, bound = _xi_integral(self.DELTA, self.PIECES[name], q)
+        err = abs(value - self.reference(self.DELTA, self.PIECES[name], q))
+        assert err >= 1e-5  # the head's remainder dominates the bound
+        assert err <= bound <= 2.0 * err, (err, bound)
+
+
 class TestNarrowSelfTerm:
     """The datum's self term by pieces, against a 50-digit reference.
 

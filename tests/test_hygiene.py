@@ -95,7 +95,16 @@ def test_particle_oracle_shares_only_the_differences_and_blocks():
                 if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     kernels = {name for module, name in imported if module == "kernels"}
-    assert kernels == {"_differences", "_scratch_blocks"}
+    assert kernels == {"_scratch_blocks"}
+
+
+def test_pair_mask_built_once():
+    # every pair block's mask of its own square comes from _scratch_blocks
+    calls = {(path.stem, func.name) for path in MODULES
+             for func in ast.walk(ast.parse(path.read_text()))
+             if isinstance(func, ast.FunctionDef)
+             and call_lines(func, "tri", owner=NP)}
+    assert calls == {("kernels", "_scratch_blocks")}
 
 
 def test_oracle_check_calls_the_particle_functions_by_name():

@@ -20,10 +20,9 @@ from arflow import (
 from arflow.dynamics import repulsion_direct
 from arflow.energetics import self_energy_constant
 from arflow.kernels import _BLOCK_ELEMS, _TRIANGLE_ROWS, _datum_conv, \
-    _datum_sum, _differences, _half_triangle, _pieces, _pow, _scratch_blocks
+    _datum_sum, _half_triangle, _pieces, _pow, _scratch_blocks
 from conftest import NARROW_DATUMS, SPREAD_DATUMS, decimal_datum_sums, \
-    decimal_datum_terms, decimal_inside_terms, psi, psi_double_prime, \
-    psi_prime
+    decimal_datum_terms, decimal_inside_terms, psi, psi_prime
 
 
 class TestExponents:
@@ -68,15 +67,6 @@ class TestPsi:
         x = rng.uniform(0.01, 5.0, 50)
         for q in (1.0, 1.2, 1.5, 2.0):
             assert np.array_equal(psi_prime(q, -x), -psi_prime(q, x))
-
-    def test_double_prime(self):
-        assert psi_double_prime(2.0, 0.0) == 2.0
-        assert psi_double_prime(2.0, 7.0) == 2.0
-        assert psi_double_prime(1.5, 4.0) == pytest.approx(0.375, abs=1e-14)
-        with pytest.raises(ValueError):
-            psi_double_prime(1.5, 0.0)
-        with pytest.raises(ValueError):
-            psi_double_prime(1.0, np.array([1.0, 0.0]))
 
     def test_finite_difference(self):
         # central difference converges at order min(2, q) away from 0
@@ -363,11 +353,14 @@ class TestScratchBlocks:
     def test_upper_blocks(self, n):
         covered = np.zeros((n, n), dtype=int)
         first = None
-        for rows, d, e in _scratch_blocks(n, n, upper=True, temps=2):
+        x = np.arange(n, dtype=float)
+        for rows, own, d, e in _scratch_blocks(x, x, temps=2, pairs=True):
             r = rows.stop - rows.start
             assert 0 < r <= _TRIANGLE_ROWS
             assert d.shape == e.shape == (r, n - rows.start)
             assert not np.shares_memory(d, e)
+            # the mask of the own square's entries j <= i
+            assert np.array_equal(own, np.tri(r, dtype=bool))
             # the first block is the largest, so the buffer never grows
             first = first or d.size
             assert d.size <= first
@@ -379,7 +372,7 @@ class TestScratchBlocks:
 
 
 class TestDifferences:
-    """The BLAS difference writer against numpy's broadcast subtraction."""
+    """The blocks' differences against numpy's broadcast subtraction."""
 
     @staticmethod
     def sample(rng, n, offset):
@@ -392,10 +385,8 @@ class TestDifferences:
         a = self.sample(rng, 1000, offset)
         b = np.concatenate([a[::7], self.sample(rng, 37, -offset)])
         assert a.size % (_BLOCK_ELEMS // b.size) != 0  # a short last block
-        write = _differences(a, b)
         seen = 0
-        for rows, d in _scratch_blocks(a.size, b.size):
-            write(rows, d)
+        for rows, d in _scratch_blocks(a, b):
             assert d.tobytes() == np.subtract(a[rows, None], b).tobytes()
             seen += rows.stop - rows.start
         assert seen == a.size
@@ -404,10 +395,8 @@ class TestDifferences:
     def test_columns_minus_rows(self, rng, offset):
         # the half triangle's x_j - x_i, written as (-x_i) - (-x_j)
         x = self.sample(rng, 1000, offset)
-        assert x.size % (_BLOCK_ELEMS // x.size) != 0  # a short last block
-        write = _differences(-x, -x)
-        for rows, d in _scratch_blocks(x.size, x.size, upper=True):
-            write(rows, d, rows.start)
+        assert x.size % _TRIANGLE_ROWS != 0  # a short last block
+        for rows, _, d in _scratch_blocks(-x, -x, pairs=True):
             ref = np.subtract(x[rows.start:], x[rows, None])
             assert d.tobytes() == ref.tobytes()
 
@@ -415,7 +404,7 @@ class TestDifferences:
         # the one departure from the subtraction: -0.0 - 0.0 is -0.0
         a = np.array([-0.0, 0.0, 3.0])
         b = np.array([0.0, -0.0, 3.0])
-        d = _differences(a, b)(slice(0, 3), np.empty((3, 3)))
+        _, d = next(_scratch_blocks(a, b))
         assert np.all(d[:2, :2] == 0.0)
         assert not np.any(np.signbit(d[:2, :2]))
         assert d[2, 2] == 0.0 and not np.signbit(d[2, 2])

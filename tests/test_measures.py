@@ -16,7 +16,6 @@ from arflow import (
     wasserstein,
 )
 from arflow.measures import _CSV_CHUNK, midpoint_grid
-from conftest import convolve_kernel
 
 
 def csv_writer_bytes(a):
@@ -150,23 +149,6 @@ class TestMoment:
             # density 2 on [0, 1], normalised: int_0^1 x^r dx
             exact = 1.0 / (r + 1.0)
             assert moment(X, r) == pytest.approx(exact, abs=5.0 / n)
-
-
-class TestConvolveKernel:
-    def test_constant(self, dense2_profile):
-        quad = MassQuadrature.midpoint(dense2_profile, 100)
-        val = convolve_kernel(dense2_profile, quad, lambda u: np.ones_like(u), 3.0)
-        assert val == pytest.approx(dense2_profile.mass, abs=1e-12)
-
-    def test_linear(self, uniform_profile):
-        quad = MassQuadrature.midpoint(uniform_profile, 200)
-        val = convolve_kernel(uniform_profile, quad, lambda u: u, 1.0)
-        assert val == pytest.approx(0.5, abs=1e-10)
-
-    def test_odd_at_center(self, uniform_profile):
-        quad = MassQuadrature.midpoint(uniform_profile, 128)
-        val = convolve_kernel(uniform_profile, quad, lambda u: u**3, 0.5)
-        assert abs(val) <= 1e-10
 
 
 class TestInverseCDF:
