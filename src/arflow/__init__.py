@@ -7,7 +7,6 @@ from .dynamics import (
     Trajectory,
     closed_form_q2,
     simulate,
-    step,
 )
 from .energetics import (
     EnergyReport,

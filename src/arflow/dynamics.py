@@ -2,7 +2,9 @@
 
 The velocity V = rep - U(X), pairwise repulsion plus the attraction drift
 -U(X) in both exponent branches (q = 1 vs q > 1), has one formula,
-``_velocity``.  A closed form for q_a = q_r = 2 is an integrator oracle.
+``_velocity``.  ``simulate`` checks the step-size guard once per run, and
+``step`` is its bare RK4 update.  A closed form for q_a = q_r = 2 is an
+integrator oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import AttractionPotential, _half_triangle
+from .kernels import AttractionPotential, _half_triangle, lipschitz_bound
 from .measures import InverseCDF
 
 __all__ = [
@@ -22,7 +24,6 @@ __all__ = [
     "MonotonicityError",
     "repulsion_term",
     "repulsion_direct",
-    "step",
     "simulate",
     "closed_form_q2",
 ]
@@ -61,14 +62,6 @@ class IntegratorConfig:
     def n_steps(self):
         """Steps from t = 0 to t_end (exact, as t_end is a multiple of dt)."""
         return round(self.t_end / self.dt)
-
-    def check_guard(self, lam):
-        """Raise ValueError unless dt * lam <= safety (the step-size guard)."""
-        if self.dt * lam > self.safety:
-            raise ValueError(
-                f"dt={self.dt} violates the step-size guard dt <= "
-                f"{self.safety / lam:.3e} (safety/lambda)"
-            )
 
 
 @dataclass
@@ -126,10 +119,9 @@ def _velocity(x, z, pot, q_r):
     return rep, rep - pot(x)
 
 
-def step(state, cfg, pot, q_r):
-    """One accepted RK4 step; aborts if the update breaks monotonicity."""
-    cfg.check_guard(pot.lam)
-    x, z, dt = state.X.x_values, state.X.z_grid, cfg.dt
+def step(state, dt, pot, q_r):
+    """``simulate``'s RK4 update; aborts on overflow or lost monotonicity."""
+    x, z = state.X.x_values, state.X.z_grid
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         k1 = _velocity(x, z, pot, q_r)[1]
         k2 = _velocity(x + 0.5 * dt * k1, z, pot, q_r)[1]
@@ -137,13 +129,13 @@ def step(state, cfg, pot, q_r):
         k4 = _velocity(x + dt * k3, z, pot, q_r)[1]
         x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(x_new)):
-        raise OverflowError(f"state overflowed at t={state.t + cfg.dt}")
+        raise OverflowError(f"state overflowed at t={state.t + dt}")
     if np.any(np.diff(x_new) < 0):
         raise MonotonicityError(
-            f"monotonicity lost at t={state.t + cfg.dt:.6g}; "
-            f"try dt <= {cfg.dt / 2:.3e} or a finer grid"
+            f"monotonicity lost at t={state.t + dt:.6g}; "
+            f"try dt <= {dt / 2:.3e} or a finer grid"
         )
-    return FlowState(state.t + cfg.dt, InverseCDF(x_new))
+    return FlowState(state.t + dt, InverseCDF(x_new))
 
 
 def _slope_ratio(min_slope, alpha, growth):
@@ -156,26 +148,29 @@ def _slope_ratio(min_slope, alpha, growth):
 def simulate(X0, profile, exps, cfg):
     """Advance X0 to t_end, recording every record_every steps.
 
-    Also tracks the slope-condition certificate: the running minimum over
-    snapshots of min_slope(t) e^{+lambda t} relative to the initial slope.
-    The drift is exact for the piecewise-constant datum.  A tied X0 or a
-    dt that breaks the step-size guard raises ValueError before any step.
+    The run owns the step-size guard, lambda = Lip(U) from
+    ``lipschitz_bound``, taken once: a tied X0 or dt lambda > safety raises
+    ValueError before any step.  The slope-condition certificate is the
+    running minimum over snapshots of min_slope(t) e^{lambda t} / alpha.
     """
     state = FlowState(0.0, X0)
     alpha = X0.min_slope()
     if alpha <= 0:
         raise ValueError("initial state must have strictly positive min slope")
     pot = AttractionPotential(profile, exps.q_a)
-    cfg.check_guard(pot.lam)
+    lam = lipschitz_bound(profile, exps.q_a)
+    if cfg.dt * lam > cfg.safety:
+        raise ValueError(f"dt={cfg.dt} violates the step-size guard dt <= "
+                         f"{cfg.safety / lam:.3e} (safety/lambda)")
     states = [state]
     cert = 1.0
     n_steps = cfg.n_steps
     for k in range(1, n_steps + 1):
-        state = step(state, cfg, pot, exps.q_r)
+        state = step(state, cfg.dt, pot, exps.q_r)
         if k % cfg.record_every == 0 or k == n_steps:
             states.append(state)
             cert = min(cert, _slope_ratio(state.X.min_slope(), alpha,
-                                          pot.lam * state.t))
+                                          lam * state.t))
     return Trajectory(states, cert)
 
 

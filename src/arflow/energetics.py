@@ -190,12 +190,10 @@ def reports_to_csv(reports, path):
 
 def dq_constant(q):
     """Positive constant in the |xi|^{-1-q} representation of |x|^q in 1D."""
-    return float(
-        -((2.0 * math.pi) ** -0.5)
-        * 2.0 ** (q + 0.5)
-        * math.gamma((1.0 + q) / 2.0)
-        / (2.0 * math.gamma(-q / 2.0))
-    )
+    if not 0.0 < q < 2.0:
+        raise ValueError(f"dq_constant requires q in (0, 2), got {q}")
+    return float(-((2.0 * math.pi) ** -0.5) * 2.0 ** (q + 0.5)
+                 * math.gamma((1.0 + q) / 2.0) / (2.0 * math.gamma(-q / 2.0)))
 
 
 def _char_fn(pieces, xi):
@@ -327,8 +325,8 @@ def moment_certificate(reports, exps, profile, quad=None):
 
     Attraction-dominated: the q_a-th moment is bounded by
     4 (E(0) + int |y|^{q_a} d omega + 2 R^{q_r}) with R the crossover radius
-    of the two power terms.  Balanced: the r-th moment (r < q/2) is bounded
-    through the Fourier representation with explicit constants.  Its term
+    of the two power terms.  Balanced, for q_a < 2 only: the r-th moment
+    (r < q/2) is bounded through the Fourier representation.  Its term
     D_q int |1 - omega_hat|^2 |xi|^{-1-q} is the tilde energy of delta_0,
     int |y|^q d omega - C, which the datum sums give exactly: the identity
     that criterion 10 checks, with no xi quadrature and no error bar.  In

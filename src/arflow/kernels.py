@@ -1,7 +1,7 @@
 """Pair and datum sums of power kernels |x|^q, and the attraction drift.
 
-The drift generated by the datum is U = psi_a' * omega, which is Lipschitz;
-its constant doubles as the step-size guard for the integrator.  Every datum
+The drift generated by the datum is U = psi_a' * omega; its Lipschitz bound
+is the step-size guard, which ``dynamics.simulate`` alone takes.  Every datum
 term is one sum (``_datum_sum``) over the datum's one representation
 (``_pieces``): its pieces, exact, or the point masses of a ``MassQuadrature``
 where a caller passes one, which only the benchmark's Fourier job does.  U,
@@ -247,7 +247,7 @@ def _check_q(q):
 
 @dataclass(frozen=True)
 class AttractionPotential:
-    """Drift U = psi_a' * omega with its Lipschitz constant.
+    """Drift U = psi_a' * omega.
 
     ``y_nodes`` holds the datum's breakpoints without ``quad``, where U is
     exact by pieces, and Y(quad.nodes) with it.  For q_a = 1 both use the
@@ -258,21 +258,19 @@ class AttractionPotential:
     q_a: float
     quad: MassQuadrature | None = None
     y_nodes: np.ndarray = field(init=False)
-    lam: float = field(init=False)
 
     def __post_init__(self):
         _check_q(self.q_a)
         object.__setattr__(self, "_datum", _pieces(self.profile, self.quad))
         object.__setattr__(self, "y_nodes", self.profile.breakpoints
                            if self.quad is None else self._datum[0])
-        object.__setattr__(self, "lam", lipschitz_bound(self.profile, self.q_a))
 
     def __call__(self, x):
         return attraction_U(self, x)
 
 
 def lipschitz_bound(profile, q_a):
-    """Upper bound for Lip(U); any valid bound works as a dt guard."""
+    """Upper bound for Lip(U): ``simulate``'s lambda in its dt guard."""
     rho = profile.density_bound
     m = profile.mass
     if q_a == 1.0:

@@ -269,7 +269,7 @@ def wasserstein(a, b, p):
     """
     if a.n != b.n:
         raise ValueError(f"grid mismatch: {a.n} != {b.n}")
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     delta = np.abs(a.x_values - b.x_values)
     if np.isinf(p):
@@ -279,7 +279,7 @@ def wasserstein(a, b, p):
 
 def moment(a, r):
     """Midpoint-rule r-th absolute moment, (1/n) sum |X(z_i)|^r."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     return float(np.mean(np.abs(a.x_values) ** r))
 

@@ -15,12 +15,11 @@ from arflow import (
     energy_and_velocity,
     particle_rhs,
     simulate,
-    step,
     uniform_state,
     wasserstein,
 )
 from arflow import dynamics, kernels
-from arflow.dynamics import repulsion_direct, repulsion_term
+from arflow.dynamics import repulsion_direct, repulsion_term, step
 from arflow.steady import steady_qr1, steady_residual
 from conftest import psi_prime
 
@@ -102,9 +101,8 @@ class TestStep:
         n = 100
         ss = steady_qr1(uniform_profile, 2.0, n)
         pot = AttractionPotential(uniform_profile, 2.0)
-        cfg = IntegratorConfig(dt=0.01, t_end=1.0)
         state = FlowState(0.0, ss.Xstar)
-        new = step(state, cfg, pot, 1.0)
+        new = step(state, 0.01, pot, 1.0)
         assert new.t == pytest.approx(0.01)
         assert np.max(np.abs(new.X.x_values - ss.Xstar.x_values)) <= 1e-12
 
@@ -113,31 +111,57 @@ class TestStep:
         X0 = uniform_state(1.0, 2.0, n)
         dt = 0.01
         pot = AttractionPotential(uniform_profile, 2.0)
-        cfg = IntegratorConfig(dt=dt, t_end=dt)
-        new = step(FlowState(0.0, X0), cfg, pot, 2.0)
+        new = step(FlowState(0.0, X0), dt, pot, 2.0)
         exact = closed_form_q2(X0, uniform_profile, dt)
         assert np.max(np.abs(new.X.x_values - exact.x_values)) <= 10.0 * dt**5
 
-    def test_dt_guard(self, uniform_profile):
-        pot = AttractionPotential(uniform_profile, 2.0)
+    @staticmethod
+    def count_guard_and_steps(monkeypatch):
+        """Count simulate's lipschitz_bound and step calls."""
+        calls = {"lipschitz_bound": 0, "step": 0}
+
+        def counted(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+            monkeypatch.setattr(dynamics, name, wrapper)
+
+        counted("lipschitz_bound", kernels.lipschitz_bound)
+        counted("step", step)
+        return calls
+
+    def test_dt_guard(self, uniform_profile, monkeypatch):
+        # lambda = 2 m = 2 at q_a = 2: dt = 10 breaks dt * lambda <= 0.5,
+        # and simulate refuses the run before any step
+        calls = self.count_guard_and_steps(monkeypatch)
         cfg = IntegratorConfig(dt=10.0, t_end=10.0)
-        state = FlowState(0.0, uniform_state(0.0, 1.0, 16))
-        with pytest.raises(ValueError, match="guard"):
-            step(state, cfg, pot, 2.0)
+        X0 = uniform_state(0.0, 1.0, 16)
+        with pytest.raises(ValueError, match=r"dt=10\.0 violates the "
+                           r"step-size guard dt <= 2\.500e-01 \(safety"):
+            simulate(X0, uniform_profile, Exponents(2.0, 2.0), cfg)
+        assert calls == {"lipschitz_bound": 1, "step": 0}
+
+    def test_guard_taken_once_per_run(self, uniform_profile, monkeypatch):
+        calls = self.count_guard_and_steps(monkeypatch)
+        cfg = IntegratorConfig(dt=0.01, t_end=0.05)
+        X0 = uniform_state(0.0, 1.0, 16)
+        simulate(X0, uniform_profile, Exponents(1.5, 1.2), cfg)
+        assert calls == {"lipschitz_bound": 1, "step": 5}
 
     def test_monotonicity_abort(self):
         # a linear U cannot fold an RK4 step: its stability polynomial has
-        # no real root; a cubic one steep at the edges can
-        class FoldingPot:
-            lam = 0.0
+        # no real root; a cubic one steep at the edges can.  Any callable
+        # drift serves: step checks no guard
+        state = FlowState(1.0, uniform_state(-1.0, 1.0, 16))
+        with pytest.raises(MonotonicityError,
+                           match=r"at t=1\.1; try dt <= 5\.000e-02 "):
+            step(state, 0.1, lambda x: 30.0 * x**3, 2.0)
 
-            def __call__(self, x):
-                return 30.0 * x**3
-
-        state = FlowState(0.0, uniform_state(-1.0, 1.0, 16))
-        cfg = IntegratorConfig(dt=0.1, t_end=0.1)
-        with pytest.raises(MonotonicityError):
-            step(state, cfg, FoldingPot(), 2.0)
+    def test_overflow_abort(self):
+        # the message names the time of the refused state
+        state = FlowState(1.0, uniform_state(-1.0, 1.0, 16))
+        with pytest.raises(OverflowError, match=r"overflowed at t=1\.1$"):
+            step(state, 0.1, lambda x: np.full(x.shape, 1e308), 2.0)
 
 
 class TestIntegratorConfig:
@@ -237,9 +261,9 @@ class TestSimulate:
         # kept the old value
         real_step = dynamics.step
 
-        def collapse_at_end(state, cfg, pot, q_r):
-            new = real_step(state, cfg, pot, q_r)
-            if new.t < cfg.t_end:
+        def collapse_at_end(state, dt, pot, q_r):
+            new = real_step(state, dt, pot, q_r)
+            if new.t < 360.0:  # the run's t_end
                 return new
             x = new.X.x_values.copy()
             x[1] = x[0]  # a tie: the end state's min slope is 0.0

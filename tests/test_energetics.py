@@ -188,6 +188,12 @@ class TestFourierEnergy:
         # gamma(-0.75) < 0 flips the sign of the prefactor at q = 1.5
         assert math.gamma(-0.75) < 0.0
 
+    @pytest.mark.parametrize("q", [0.0, 2.0, 2.5, -0.5, math.nan])
+    def test_dq_refuses_q_outside_0_2(self, q):
+        # gamma(-q/2) has poles at q = 0 and 2, and past 2 its sign flips
+        with pytest.raises(ValueError, match=r"q in \(0, 2\)"):
+            dq_constant(q)
+
     def test_identity_against_double_sums(self, uniform_profile):
         n = 150
         X = uniform_state(0.5, 1.5, n)
@@ -417,6 +423,14 @@ class TestMomentCertificate:
     def test_empty_stream(self, uniform_profile):
         with pytest.raises(ValueError):
             moment_certificate([], Exponents(2.0, 1.0), uniform_profile)
+
+    def test_balanced_needs_q_below_2(self, uniform_profile):
+        # D_2 is infinite: the certificate is refused with the range named
+        exps = Exponents(2.0, 2.0)
+        reps = [make_report(0.0, uniform_state(-1.0, 2.0, 16),
+                            uniform_profile, exps)]
+        with pytest.raises(ValueError, match=r"q in \(0, 2\)"):
+            moment_certificate(reps, exps, uniform_profile)
 
     @staticmethod
     def gap_moment(q):

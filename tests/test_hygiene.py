@@ -198,12 +198,28 @@ def named_lines(tree, name):
             or isinstance(node, ast.Attribute) and node.attr == name]
 
 
-@pytest.mark.parametrize("name",
-                         ["check_guard", "lipschitz_bound", "partial"])
+@pytest.mark.parametrize("name", ["safety", "lipschitz_bound", "partial"])
 def test_cli_leaves_guard_and_initial_state_to_their_owners(name):
     # simulate checks the step-size guard; the parser builds the initial
     # state itself, not a deferred builder
     assert named_lines(source_tree("cli"), name) == []
+
+
+def owners(found):
+    """(module, top-level name) of each top-level statement of the package
+    for which ``found(statement)`` is nonempty; None names a statement
+    that is no function or class."""
+    return {(path.stem, getattr(top, "name", None)) for path in MODULES
+            for top in ast.parse(path.read_text()).body if found(top)}
+
+
+def test_step_size_guard_lives_in_simulate():
+    # simulate takes lambda = Lip(U) once and checks dt * lambda <= safety:
+    # step, the potential and the CLI carry no guard
+    assert owners(lambda top: call_lines(top, "lipschitz_bound")) == {
+        ("dynamics", "simulate")}
+    assert owners(lambda top: named_lines(top, "safety")) == {
+        ("dynamics", "IntegratorConfig"), ("dynamics", "simulate")}
 
 
 def test_xi_integral_serves_fourier_energy_only():

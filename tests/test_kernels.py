@@ -20,7 +20,8 @@ from arflow import (
 from arflow.dynamics import repulsion_direct
 from arflow.energetics import self_energy_constant
 from arflow.kernels import _BLOCK_ELEMS, _TRIANGLE_ROWS, _datum_conv, \
-    _datum_sum, _half_triangle, _pieces, _pow, _scratch_blocks
+    _datum_sum, _half_triangle, _pieces, _pow, _scratch_blocks, \
+    lipschitz_bound
 from conftest import NARROW_DATUMS, SPREAD_DATUMS, decimal_datum_sums, \
     decimal_datum_terms, decimal_inside_terms, psi, psi_prime
 
@@ -111,7 +112,7 @@ class TestAttractionU:
     def test_lipschitz_finite_difference(self, uniform_profile, rng):
         for q_a in (1.0, 1.5, 2.0):
             pot = AttractionPotential(uniform_profile, q_a)
-            lam = pot.lam
+            lam = lipschitz_bound(uniform_profile, q_a)
             a = rng.uniform(-2.0, 3.0, 200)
             b = rng.uniform(-2.0, 3.0, 200)
             du = np.abs(attraction_U(pot, a) - attraction_U(pot, b))
@@ -124,16 +125,14 @@ class TestAttractionU:
 
 class TestLipschitzLambda:
     def test_q1(self, uniform_profile):
-        pot = AttractionPotential(uniform_profile, 1.0)
-        assert pot.lam == 2.0
+        assert lipschitz_bound(uniform_profile, 1.0) == 2.0
 
     def test_q2(self, uniform_profile):
-        pot = AttractionPotential(uniform_profile, 2.0)
-        assert pot.lam == 2.0
+        assert lipschitz_bound(uniform_profile, 2.0) == 2.0
 
     def test_intermediate(self, uniform_profile):
-        pot = AttractionPotential(uniform_profile, 1.5)
-        assert pot.lam == pytest.approx(3.75, abs=1e-14)
+        assert lipschitz_bound(uniform_profile, 1.5) == pytest.approx(
+            3.75, abs=1e-14)
 
 
 class TestExactDatumIntegrals:

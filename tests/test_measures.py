@@ -109,6 +109,11 @@ class TestWasserstein:
         with pytest.raises(ValueError):
             wasserstein(a, a, 0.5)
 
+    def test_nan_p_refused(self):
+        a = uniform_state(0.0, 1.0, 16)
+        with pytest.raises(ValueError, match="p must be"):
+            wasserstein(a, a, np.nan)
+
     def test_metric_axioms(self, rng):
         n = 40
         states = [
@@ -132,6 +137,11 @@ class TestMoment:
     def test_uniform_second_moment(self):
         a = uniform_state(0.0, 1.0, 1000)
         assert moment(a, 2.0) == pytest.approx(1.0 / 3.0, abs=1e-4)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, np.nan])
+    def test_bad_r_refused(self, r):
+        with pytest.raises(ValueError, match="r must be positive"):
+            moment(uniform_state(0.0, 1.0, 8), r)
 
     def test_point_mass(self):
         a = InverseCDF(np.full(16, -2.5))
@@ -176,6 +186,7 @@ class TestInverseCDF:
         assert a.min_slope() == pytest.approx(1.0, abs=1e-12)
         b = InverseCDF([0.0, 0.0, 1.0])
         assert b.min_slope() == 0.0
+        assert InverseCDF([0.5]).min_slope() == np.inf  # no pair of nodes
 
     def test_z_grid(self):
         a = uniform_state(0.0, 1.0, 4)
