@@ -2,9 +2,10 @@
 
 The velocity V = rep - U(X), pairwise repulsion plus the attraction drift
 -U(X) in both exponent branches (q = 1 vs q > 1), has one formula,
-``_velocity``.  ``simulate`` checks the step-size guard once per run, and
-``step`` is its bare RK4 update.  A closed form for q_a = q_r = 2 is an
-integrator oracle.
+``_velocity``.  The repulsion's one loop over pairs, each pair once on the
+sorted state, is ``repulsion_direct``.  ``simulate`` checks the step-size
+guard once per run, and ``step`` is its bare RK4 update.  A closed form for
+q_a = q_r = 2 is an integrator oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import AttractionPotential, _half_triangle, lipschitz_bound
+from .kernels import AttractionPotential, _pow, _scratch_blocks, \
+    lipschitz_bound
 from .measures import InverseCDF
 
 __all__ = [
@@ -96,20 +98,35 @@ def repulsion_direct(x, q_r):
 
     RK4 stage states need not be monotone, so the sum runs on a stable sort
     of x and is scattered back.  In sorted order a pair j > i has
-    d = x_j - x_i >= 0 and adds psi_r'(d) to node j and -psi_r'(d) to node i.
-    A block's row and column sums are BLAS matvecs with a ones vector.
+    d = x_j - x_i >= 0, so no |.| is taken, and adds q_r d^p, p = q_r - 1,
+    to node j and its negative to node i.  A pair block holds the columns
+    j >= rows.start; the entries j <= i of its own square are set to 1.0
+    before the power, as ln 0 takes a slow path, and to 0 after it.  Tied
+    pairs j > i still take ln 0, hence the one errstate.  At p = 0 the term
+    is sgn(d), so tied pairs give 0, not 0**0.  A block's row and column
+    sums are BLAS matvecs with a ones vector.
     """
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    n = xs.size
-    acc = np.zeros(n)
-    ones = np.ones(n)
-    for rows, d in _half_triangle(xs, q_r - 1.0):
-        r, c = d.shape
-        acc[rows] -= d @ ones[:c]
-        acc[rows.start:] += ones[:r] @ d
-    out = np.empty(n)
-    out[order] = q_r * acc / n
+    p = q_r - 1.0
+    with np.errstate(divide="ignore"):
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        n = xs.size
+        acc = np.zeros(n)
+        ones = np.ones(n)
+        # x_j - x_i = (-x_i) - (-x_j)
+        for rows, own, d in _scratch_blocks(-xs, -xs, pairs=True):
+            square = d[:, :len(own)]
+            if p == 0.0:
+                np.sign(d, out=d)
+            else:
+                np.copyto(square, 1.0, where=own)
+                _pow(d, p)
+            np.copyto(square, 0.0, where=own)
+            r, c = d.shape
+            acc[rows] -= d @ ones[:c]
+            acc[rows.start:] += ones[:r] @ d
+        out = np.empty(n)
+        out[order] = q_r * acc / n
     return out
 
 

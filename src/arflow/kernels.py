@@ -1,4 +1,4 @@
-"""Pair and datum sums of power kernels |x|^q, and the attraction drift.
+"""Blocks, powers and datum sums of power kernels |x|^q, and the drift.
 
 The drift generated by the datum is U = psi_a' * omega; its Lipschitz bound
 is the step-size guard, which ``dynamics.simulate`` alone takes.  Every datum
@@ -9,12 +9,11 @@ psi_a * omega and the datum's self term are each one level of it.  Only
 q_a = 1 (U = 2G - m) and the exact datum at q = 2 keep O(n) closed forms,
 the latter with omega's spread from ``_moments``, as on the Fourier side.
 
-Only the repulsion sums over pairs of nodes, each pair once on the sorted
-state (``_half_triangle``); the energy takes its pair term from it.  Every
-dense sum runs in row blocks of at most ``_BLOCK_ELEMS`` elements, and a sum
-over pairs in blocks of at most ``_TRIANGLE_ROWS`` rows, built with
-``out=`` ufunc chains in one scratch buffer per call, so memory stays flat
-as n grows and no block faults in fresh pages.  One generator
+Every dense sum runs in row blocks of at most ``_BLOCK_ELEMS`` elements,
+and a sum over pairs (the repulsion's in ``dynamics`` and the particle
+oracle's) in blocks of at most ``_TRIANGLE_ROWS`` rows, built with ``out=``
+ufunc chains in one scratch buffer per call, so memory stays flat as n
+grows and no block faults in fresh pages.  One generator
 (``_scratch_blocks``) lays out every block: it writes the block's
 differences as a rank-2 BLAS product, bit for bit the broadcast
 subtraction, and masks a pair block's own square.  Each power is
@@ -104,32 +103,6 @@ def _pow(d, p):
     np.log(d, out=d)
     np.multiply(d, p, out=d)
     return np.exp(d, out=d)
-
-
-def _half_triangle(x, p):
-    """Row blocks of |x_j - x_i|^p over the pairs j > i, for nondecreasing x.
-
-    Yields ``(rows, block)`` with block[r, c] the term of the pair
-    (rows.start + r, rows.start + c), a window of one scratch buffer: the
-    columns j >= rows.start.  On sorted x every difference j > i is already
-    >= 0, so no |.| is taken.  The entries j <= i of the block's own square
-    are set to 1.0 before the power and to 0 after it, as ln 0 takes a slow
-    path.  Tied pairs j > i still take ln 0, so the loop runs under one
-    ``np.errstate(divide="ignore")``, which the consumer's code between
-    yields shares.  At p = 0 the term is sgn(x_j - x_i), so tied pairs give
-    0, not 0**0.
-    """
-    with np.errstate(divide="ignore"):
-        # x_j - x_i = (-x_i) - (-x_j)
-        for rows, own, d in _scratch_blocks(-x, -x, pairs=True):
-            square = d[:, :len(own)]
-            if p == 0.0:
-                np.sign(d, out=d)
-            else:
-                np.copyto(square, 1.0, where=own)
-                _pow(d, p)
-            np.copyto(square, 0.0, where=own)
-            yield rows, d
 
 
 def _pieces(profile, quad=None):

@@ -189,7 +189,7 @@ class ReferenceProfile:
         Across zero-density gaps this returns the left edge of the next mass.
         """
         zeta = np.asarray(zeta, dtype=float)
-        if np.any(zeta < 0) or np.any(zeta >= self.mass):
+        if not np.all((zeta >= 0) & (zeta < self.mass)):
             raise ValueError("zeta must lie in [0, mass)")
         cum = self._cum_mass
         # first interval k with cum[k+1] > zeta; 'right' skips plateaus at zeta
@@ -239,9 +239,9 @@ class MassQuadrature:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be matching 1-d arrays")
-        if np.any(np.diff(nodes) <= 0):
+        if not np.all(np.diff(nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
-        if np.any(weights <= 0):
+        if not np.all(weights > 0):
             raise ValueError("weights must be positive")
         nodes = nodes.copy()
         weights = weights.copy()

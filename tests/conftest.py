@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 
-from arflow import ReferenceProfile, dynamics, kernels
+from arflow import ReferenceProfile, dynamics
 from arflow.kernels import _check_q
 
 
@@ -58,15 +58,14 @@ def rng():
 
 @pytest.fixture
 def pair_passes(monkeypatch):
-    """The exponent of every ``_half_triangle`` pass, through the binding of
-    ``kernels`` or of ``dynamics``."""
+    """q_r of every ``dynamics.repulsion_direct`` pass."""
     passes = []
-    for module in (kernels, dynamics):
-        def counted(x, p, inner=module._half_triangle):
-            passes.append(p)
-            return inner(x, p)
 
-        monkeypatch.setattr(module, "_half_triangle", counted)
+    def counted(x, q_r, inner=dynamics.repulsion_direct):
+        passes.append(q_r)
+        return inner(x, q_r)
+
+    monkeypatch.setattr(dynamics, "repulsion_direct", counted)
     return passes
 
 

@@ -632,7 +632,7 @@ class TestOracleCheck:
             "profile": "profile.json", "q_a": 2.0, "q_r": 2.0, "n": 64,
         })
         assert cli.main(["oracle-check", "--config", str(cfg)]) == 0
-        assert pair_passes == [pytest.approx(0.4)]
+        assert pair_passes == [1.4]
 
     def test_overflowed_value_exit_3(self, tmp_path, capsys):
         # density 1e308: every E and e is inf and every energy difference
@@ -713,6 +713,17 @@ class TestEnergyAudit:
         # the printed drop is from the first to the last snapshot
         drop = doc["E_initial"] - doc["E_final"]
         assert f"(E drop {drop:.6e})" in capsys.readouterr().out
+        # each output reads back the run's values, bit for bit
+        E, D = np.loadtxt(out / "energy.csv", delimiter=",", skiprows=1,
+                          usecols=(1, 2), unpack=True)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final_energy"] == E[-1] == doc["E_final"]
+        assert doc["E_initial"] == E[0]
+        assert summary["min_dissipation"] == D.min() == doc["min_dissipation"]
+        index = json.loads((out / "index.json").read_text())
+        slopes = [InverseCDF.from_csv(out / name).min_slope()
+                  for name in index["files"]]
+        assert index["min_slope"] == slopes
 
     def test_audit_defect_is_the_runs(self, tmp_path):
         # the audit recomputes the run's reports from its snapshots, bit

@@ -48,7 +48,7 @@ class TestRepulsionTerm:
 
 
 class TestRepulsionDirect:
-    @pytest.mark.parametrize("q_r", [1.0, 1.3, 2.0])
+    @pytest.mark.parametrize("q_r", [1.0, 1.3, 1.4, 2.0])
     def test_matches_dense_on_unsorted_tied_input(self, rng, q_r):
         # an RK4 stage state: sorted nodes jittered out of order, with ties
         n = 1000

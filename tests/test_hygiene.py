@@ -64,10 +64,12 @@ def test_no_default_quadrature(path):
 
 
 def test_kernels_use_no_np_power():
-    # the pair sums take exp(p ln d); the particle oracle keeps np.power,
-    # so the oracle check compares two independent power evaluations
-    tree = ast.parse((ROOT / "src" / "arflow" / "kernels.py").read_text())
-    assert call_lines(tree, "power", owner=NP) == []
+    # the repulsion and datum sums take exp(p ln d); the particle oracle
+    # keeps np.power, so the oracle check compares two independent power
+    # evaluations
+    for name in ("kernels.py", "dynamics.py"):
+        tree = ast.parse((ROOT / "src" / "arflow" / name).read_text())
+        assert call_lines(tree, "power", owner=NP) == [], name
 
 
 def particles_tree():

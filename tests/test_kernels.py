@@ -20,7 +20,7 @@ from arflow import (
 from arflow.dynamics import repulsion_direct
 from arflow.energetics import self_energy_constant
 from arflow.kernels import _BLOCK_ELEMS, _TRIANGLE_ROWS, _datum_conv, \
-    _datum_sum, _half_triangle, _pieces, _pow, _scratch_blocks, \
+    _datum_sum, _pieces, _pow, _scratch_blocks, \
     lipschitz_bound
 from conftest import NARROW_DATUMS, SPREAD_DATUMS, decimal_datum_sums, \
     decimal_datum_terms, decimal_inside_terms, psi, psi_prime
@@ -447,16 +447,6 @@ class TestPow:
                               gap_profile.quantile(quad.nodes))
         assert np.geterr() == state
         assert np.all(np.isfinite(np.concatenate([v, u, uq, [e, e_quad]])))
-
-    def test_half_triangle_matches_np_power(self, rng):
-        x = np.sort(rng.uniform(-1.0, 4.0, 700))
-        x[100:104] = x[100]
-        d = x[None, :] - x[:, None]
-        ref = np.where(d > 0, np.abs(d) ** 0.4, 0.0)
-        for rows, block in _half_triangle(x, 0.4):
-            expect = ref[rows, rows.start:]
-            assert np.allclose(block, expect, rtol=1e-14, atol=0.0)
-            assert np.array_equal(block == 0.0, expect == 0.0)
 
 
 class TestNarrowDatum:

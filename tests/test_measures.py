@@ -69,6 +69,10 @@ class TestPseudoInverseEval:
         with pytest.raises(ValueError):
             uniform_profile.quantile(1.0)
 
+    def test_nan_refused(self, uniform_profile):
+        with pytest.raises(ValueError, match="zeta must lie in"):
+            uniform_profile.quantile([0.2, np.nan])
+
     def test_one_sided_bounds(self, gap_profile):
         # (Y o G)(x) >= x and (G o Y)(zeta) >= zeta
         x = np.linspace(-0.5, 3.5, 157)
@@ -339,9 +343,21 @@ class TestMassQuadrature:
         with pytest.raises(ValueError):
             MassQuadrature([0.5, 0.25], [0.5, 0.5])
         with pytest.raises(ValueError):
+            MassQuadrature([0.25, 0.25], [0.5, 0.5])
+        with pytest.raises(ValueError):
             MassQuadrature([0.25, 0.5], [0.5, -0.5])
         with pytest.raises(ValueError):
+            MassQuadrature([0.25, 0.5], [0.5, 0.0])
+        with pytest.raises(ValueError):
             MassQuadrature([0.25, 0.5], [0.5])
+
+    def test_nan_node_refused(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            MassQuadrature([0.2, np.nan], [0.5, 0.5])
+
+    def test_nan_weight_refused(self):
+        with pytest.raises(ValueError, match="positive"):
+            MassQuadrature([0.5], [np.nan])
 
 
 class TestStateConstructors:

@@ -74,10 +74,11 @@ def mutation(node):
     return (*lines, f"{SYMBOLS[old]} -> {SYMBOLS[new]}", apply)
 
 
-def sites(path):
-    """Every site of the module, as (path, index, line, last line, text):
-    ``index`` counts the nodes of ``ast.walk``, which is deterministic."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+def sites(path, source):
+    """Every site of ``source``, the text of the module at ``path``, as
+    (path, index, line, last line, text): ``index`` counts the nodes of
+    ``ast.walk``, which is deterministic."""
+    tree = ast.parse(source, filename=str(path))
     found = []
     for index, node in enumerate(ast.walk(tree)):
         site = mutation(node)
@@ -86,8 +87,9 @@ def sites(path):
     return found
 
 
-def mutant_source(path, index):
-    tree = ast.parse(path.read_text(), filename=str(path))
+def mutant_source(source, index):
+    """``source`` with its site ``index`` of ``sites`` mutated."""
+    tree = ast.parse(source)
     node = next(n for i, n in enumerate(ast.walk(tree)) if i == index)
     mutation(node)[3]()
     return ast.unparse(tree) + "\n"
@@ -132,8 +134,11 @@ def run_tests(tree, files, timeout=None):
 
     start = time.perf_counter()
     try:
+        # -B: a .pyc matches its source by size and mtime in whole seconds,
+        # so a mutant written within a second of another of the same size
+        # would run the other's code
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+            [sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p",
              "no:cacheprovider", *files], cwd=tree, env=env,
             capture_output=True, text=True, timeout=timeout, preexec_fn=cap)
     except subprocess.TimeoutExpired:
@@ -168,28 +173,34 @@ def main(argv=None):
 
     modules = sorted(p for p in (ROOT / PACKAGE).glob("*.py")
                      if p.name != "__init__.py")
-    every = [site for path in modules for site in sites(path)]
-    if args.base:
-        changed = changed_lines(args.base)
-        chosen = [s for s in every
-                  if changed.get(s[0], set()) & set(range(s[2], s[3] + 1))]
-    else:
-        chosen = random.Random(args.seed).sample(every,
-                                                 min(args.sample, len(every)))
-    print(f"{len(chosen)} of {len(every)} sites", flush=True)
     killed = 0
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch)
         copy_tree(tree)
+        # each module's text, read once from the copy: every mutant is made
+        # from it and the module restored to it, whatever later edits the
+        # working tree sees
+        sources = {path: (tree / path.relative_to(ROOT)).read_text()
+                   for path in modules}
+        every = [site for path in modules for site in sites(path,
+                                                              sources[path])]
+        if args.base:
+            changed = changed_lines(args.base)
+            chosen = [s for s in every if changed.get(s[0], set())
+                      & set(range(s[2], s[3] + 1))]
+        else:
+            chosen = random.Random(args.seed).sample(
+                every, min(args.sample, len(every)))
+        print(f"{len(chosen)} of {len(every)} sites", flush=True)
         files, total = fastest_first(tree)
         for path, index, line, _, text in chosen:
             target = tree / path.relative_to(ROOT)
-            target.write_text(mutant_source(path, index))
+            target.write_text(mutant_source(sources[path], index))
             try:
                 passed, first, _ = run_tests(tree, files,
                                              timeout=10 * total + 60)
             finally:
-                shutil.copy2(path, target)
+                target.write_text(sources[path])
             killed += not passed
             verdict = "survived" if passed else f"killed    {first}"
             print(f"{path.relative_to(ROOT)}:{line}  {text}  {verdict}",
